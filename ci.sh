@@ -10,6 +10,9 @@ cargo build --release
 echo "==> cargo test -q (workspace)"
 cargo test --workspace -q
 
+echo "==> perfbench tests (the benchmark driver builds against the public core API)"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> tflint (workspace-aware static analysis + allow audit)"
 cargo run -q -p tflint -- check --audit-allows
 

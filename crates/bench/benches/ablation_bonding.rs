@@ -13,7 +13,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use opencapi::c1::C1Port;
 use simkit::sweep::sweep;
 use simkit::time::SimTime;
-use thymesisflow_core::datapath::Datapath;
+use thymesisflow_core::fabric::FabricBuilder;
 use thymesisflow_core::params::DatapathParams;
 
 fn reproduce() {
@@ -30,8 +30,12 @@ fn reproduce() {
     header(&["channels", "GiB/s", "vs 1ch"]);
     // The channel-count axis sweeps independent datapath simulations.
     let gibs = sweep(0xAB0, vec![1usize, 2], |_i, channels, _rng| {
-        let mut dp = Datapath::new(DatapathParams::prototype(), channels, 256 << 20);
-        dp.measure_stream_bandwidth(16, 32, SimTime::from_us(150))
+        let (mut fabric, path) =
+            FabricBuilder::point_to_point(DatapathParams::prototype(), channels, 256 << 20)
+                .expect("reference topology assembles");
+        fabric
+            .measure_stream_bandwidth(path, 16, 32, SimTime::from_us(150))
+            .expect("reference path streams")
             .as_gib_per_sec()
     });
     let single = gibs[0];

@@ -136,7 +136,7 @@ impl FabricBuilder {
     /// The reference topology — a 2-node [`Line`]: one borrower, one
     /// donor, `channels` bonded channels over a `bytes`-sized
     /// attachment — exactly the shape (and event trajectory) of the
-    /// pre-fabric `Datapath`.
+    /// pre-fabric monolithic datapath.
     ///
     /// # Errors
     ///

@@ -184,15 +184,6 @@ impl ChaosPlan {
         self.at(at, ChaosEvent::LaneFail { link: LinkRef::named(name) })
     }
 
-    /// Fails a port of the circuit carrying the topology link `name` at
-    /// `at`.
-    pub fn switch_port_fail_on(self, at: SimTime, name: &str) -> Self {
-        self.at(
-            at,
-            ChaosEvent::SwitchPortFailOn { link: LinkRef::named(name) },
-        )
-    }
-
     /// Crashes donor `donor` at `at`.
     pub fn donor_crash(self, at: SimTime, donor: usize) -> Self {
         self.at(at, ChaosEvent::DonorCrash { donor })

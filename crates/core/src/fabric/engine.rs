@@ -39,7 +39,7 @@ use routing::{ChannelId, RouteError};
 use simkit::bandwidth::Rate;
 use simkit::event::{Engine, EventQueue};
 use simkit::stats::Histogram;
-use simkit::telemetry::{CounterId, GaugeId, Registry, Snapshot, TelemetryError, TimerId};
+use simkit::telemetry::{CounterId, Metric, Registry, Snapshot, TelemetryError, TimerId};
 use simkit::time::SimTime;
 
 use crate::endpoint::EndpointError;
@@ -157,7 +157,7 @@ impl PathSpec {
         self
     }
 
-    /// The exact flow the pre-fabric monolithic `Datapath` hardwired:
+    /// The exact flow the pre-fabric monolithic datapath hardwired:
     /// network 1, PASID 42, donor EA `0x7000_0000_0000`, channel fault
     /// seeds `100+i`/`200+i`, bonded iff more than one channel. The
     /// constants are owned by [`routing::plan::FlowPlan::reference`].
@@ -340,13 +340,6 @@ enum Ev {
     Complete { tag: u64 },
     /// Seal whatever is staged on a direction (adaptive batching).
     Flush { link: usize, dir: Dir },
-    /// A window of same-link data frames lands as one event (wire-burst
-    /// batching, see [`Fabric::set_wire_batching`]).
-    ArriveBurst {
-        link: usize,
-        dir: Dir,
-        frames: Vec<(Frame<FabricMsg>, bool)>,
-    },
     /// A deferred load issue lands (cross-partition injection, see
     /// [`Fabric::schedule_read`]).
     Inject { path: u32 },
@@ -456,9 +449,11 @@ struct FabricTopo {
 }
 
 /// Unified per-link statistics: wire-channel, LLC and credit counters
-/// for both directions of one link, in one typed struct. Mirrored into
-/// the telemetry registry by [`Fabric::telemetry_snapshot`] under
-/// `fabric.link{n}.*` paths.
+/// for both directions of one link, in one typed struct — the single
+/// source of endpoint-link counters. [`Fabric::telemetry_snapshot`]
+/// derives its `fabric.link{n}.*` rows from it and
+/// [`Fabric::congestion_report`] its endpoint frames, replays and
+/// credit stalls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkStats {
     /// Global link index (= channel id).
@@ -507,6 +502,32 @@ pub struct LinkStats {
     pub down_rx_high_water: usize,
 }
 
+impl LinkStats {
+    /// The `fabric.link{n}.*` leaves a telemetry snapshot carries for
+    /// this link: cumulative counters, then point-in-time gauges.
+    fn metric_rows(&self) -> [(&'static str, Metric); 16] {
+        let level = |n: usize| Metric::Gauge(u64::try_from(n).unwrap_or(u64::MAX));
+        [
+            ("fwd.frames", Metric::Counter(self.fwd_frames)),
+            ("fwd.bytes", Metric::Counter(self.fwd_bytes)),
+            ("rev.frames", Metric::Counter(self.rev_frames)),
+            ("rev.bytes", Metric::Counter(self.rev_bytes)),
+            ("up.replays", Metric::Counter(self.up_replays)),
+            ("down.replays", Metric::Counter(self.down_replays)),
+            ("up.delivered", Metric::Counter(self.up_delivered)),
+            ("down.delivered", Metric::Counter(self.down_delivered)),
+            ("up.credit_stalls", Metric::Counter(self.up_credit_stalls)),
+            ("down.credit_stalls", Metric::Counter(self.down_credit_stalls)),
+            ("up.credits", Metric::Gauge(u64::from(self.up_credits))),
+            ("down.credits", Metric::Gauge(u64::from(self.down_credits))),
+            ("up.backlog", level(self.up_backlog)),
+            ("down.backlog", level(self.down_backlog)),
+            ("up.rx_high_water", level(self.up_rx_high_water)),
+            ("down.rx_high_water", level(self.down_rx_high_water)),
+        ]
+    }
+}
+
 /// Registry handles for the fabric-wide metrics.
 struct FabricTele {
     issued: CounterId,
@@ -547,51 +568,6 @@ impl FabricTele {
     }
 }
 
-/// Registry handles for one link's mirrored component statistics.
-#[derive(Debug, Clone, Copy)]
-struct LinkTele {
-    fwd_frames: CounterId,
-    fwd_bytes: CounterId,
-    rev_frames: CounterId,
-    rev_bytes: CounterId,
-    up_replays: CounterId,
-    down_replays: CounterId,
-    up_delivered: CounterId,
-    down_delivered: CounterId,
-    up_credit_stalls: CounterId,
-    down_credit_stalls: CounterId,
-    up_credits: GaugeId,
-    down_credits: GaugeId,
-    up_backlog: GaugeId,
-    down_backlog: GaugeId,
-    up_rx_high_water: GaugeId,
-    down_rx_high_water: GaugeId,
-}
-
-impl LinkTele {
-    fn register(r: &mut Registry, link: usize) -> Result<Self, TelemetryError> {
-        let p = |leaf: &str| format!("fabric.link{link}.{leaf}");
-        Ok(LinkTele {
-            fwd_frames: r.counter(&p("fwd.frames"))?,
-            fwd_bytes: r.counter(&p("fwd.bytes"))?,
-            rev_frames: r.counter(&p("rev.frames"))?,
-            rev_bytes: r.counter(&p("rev.bytes"))?,
-            up_replays: r.counter(&p("up.replays"))?,
-            down_replays: r.counter(&p("down.replays"))?,
-            up_delivered: r.counter(&p("up.delivered"))?,
-            down_delivered: r.counter(&p("down.delivered"))?,
-            up_credit_stalls: r.counter(&p("up.credit_stalls"))?,
-            down_credit_stalls: r.counter(&p("down.credit_stalls"))?,
-            up_credits: r.gauge(&p("up.credits"))?,
-            down_credits: r.gauge(&p("down.credits"))?,
-            up_backlog: r.gauge(&p("up.backlog"))?,
-            down_backlog: r.gauge(&p("down.backlog"))?,
-            up_rx_high_water: r.gauge(&p("up.rx_high_water"))?,
-            down_rx_high_water: r.gauge(&p("down.rx_high_water"))?,
-        })
-    }
-}
-
 /// One live link: the up/down LLC pairs and the two wire channels of a
 /// single physical channel between the compute endpoint and one donor.
 struct LinkSlot {
@@ -603,7 +579,6 @@ struct LinkSlot {
     path: u32,
     flush_pending: [bool; 2],
     circuit: Option<(PortId, PortId)>,
-    tele: LinkTele,
     /// A watchdog sample is already scheduled for this link.
     watchdog_pending: bool,
     /// Consecutive progress-free watchdog samples.
@@ -628,8 +603,6 @@ struct PathState {
     pasid: Pasid,
     donor: usize,
     links: Vec<usize>,
-    first_section: u64,
-    section_count: u64,
     window_base: u64,
     window_bytes: u64,
     issue_cursor: u64,
@@ -637,7 +610,9 @@ struct PathState {
     completed_bytes: u64,
     ready_at: SimTime,
     label: String,
-    tele_rtt: TimerId,
+    /// Load-to-use latencies retired while telemetry was enabled —
+    /// exported as `fabric.path{n}.rtt_ns` while the path is live.
+    rtt: Histogram,
     /// Set once the path loses its last link: no further issues.
     poisoned: Option<FaultKind>,
 }
@@ -703,9 +678,6 @@ pub struct Fabric {
     faulted: BTreeMap<u64, FaultKind>,
     /// Completions absorbed because their load had already faulted.
     late_completions: u64,
-    /// Hot-path opt-in: same-link data frames pumped back-to-back move
-    /// as one [`Ev::ArriveBurst`] at the burst's last arrival instant.
-    wire_batching: bool,
     /// Deferred issues ([`Fabric::schedule_read`]) that landed on a
     /// poisoned path and were refused rather than faulting the run.
     injects_refused: u64,
@@ -780,7 +752,6 @@ impl Fabric {
             faults: Vec::new(),
             faulted: BTreeMap::new(),
             late_completions: 0,
-            wire_batching: false,
             injects_refused: 0,
             topo: None,
             interior: BTreeMap::new(),
@@ -1019,7 +990,6 @@ impl Fabric {
                 path: path_id,
                 flush_pending: [false; 2],
                 circuit,
-                tele: LinkTele::register(&mut self.telemetry, link)?,
                 watchdog_pending: false,
                 strikes: 0,
                 progress: (0, 0, 0, 0),
@@ -1050,8 +1020,6 @@ impl Fabric {
                 pasid: spec.pasid,
                 donor: donor_idx,
                 links: link_indices,
-                first_section,
-                section_count,
                 window_base: self.window.base + first_section * section,
                 window_bytes: spec.bytes,
                 issue_cursor: 0,
@@ -1059,9 +1027,7 @@ impl Fabric {
                 completed_bytes: 0,
                 ready_at,
                 label: spec.label.clone(),
-                tele_rtt: self
-                    .telemetry
-                    .timer(&format!("fabric.path{path_id}.rtt_ns"))?,
+                rtt: Histogram::new(),
                 poisoned: None,
             },
         );
@@ -1365,17 +1331,6 @@ impl Fabric {
 
     fn pump(&mut self, link: usize, dir: Dir) -> Result<(), FabricError> {
         let now = self.queue.now();
-        // Batched bursts bypass the per-frame Arrive path, so a link
-        // with a forwarding chain always pumps frame-by-frame: every
-        // frame must individually enter the chain's credit machinery.
-        let chained = self
-            .links
-            .get(link)
-            .and_then(Option::as_ref)
-            .is_some_and(|s| s.chain.is_some());
-        if self.wire_batching && !chained {
-            return self.pump_batched(link, dir, now);
-        }
         loop {
             let frame = {
                 let Some(slot) = self.links.get_mut(link).and_then(Option::as_mut) else {
@@ -1392,71 +1347,6 @@ impl Fabric {
             };
             self.transmit(link, dir, frame, now);
         }
-    }
-
-    /// The wire-batching pump: every data frame this pump pass puts on
-    /// the wire joins one burst that lands as a single
-    /// [`Ev::ArriveBurst`] at the last frame's arrival instant, so a
-    /// window of same-link flits moves as one event instead of one event
-    /// per frame. Control frames keep the per-frame path (they carry
-    /// flow control and ride the reverse physical channel).
-    fn pump_batched(
-        &mut self,
-        link: usize,
-        dir: Dir,
-        now: SimTime,
-    ) -> Result<(), FabricError> {
-        let mut burst: Vec<(Frame<FabricMsg>, bool)> = Vec::new();
-        let mut burst_at = now;
-        loop {
-            let frame = {
-                let Some(slot) = self.links.get_mut(link).and_then(Option::as_mut) else {
-                    break;
-                };
-                let tx = match dir {
-                    Dir::ToMemory => &mut slot.up.tx,
-                    Dir::ToCompute => &mut slot.down.tx,
-                };
-                match tx.next_transmittable()? {
-                    Some(f) => f,
-                    None => break,
-                }
-            };
-            if matches!(frame, Frame::Control(_)) {
-                self.transmit(link, dir, frame, now);
-                continue;
-            }
-            self.stamp_wire_tx(dir, &frame, now);
-            let Some(slot) = self.links.get_mut(link).and_then(Option::as_mut) else {
-                break;
-            };
-            let physical = match dir {
-                Dir::ToMemory => &mut slot.fwd.chan,
-                Dir::ToCompute => &mut slot.rev.chan,
-            };
-            match physical.transmit(now, frame.wire_bytes()) {
-                Delivery::Delivered { at } => {
-                    burst_at = burst_at.max(at.max(now));
-                    burst.push((frame, true));
-                }
-                Delivery::Corrupted { at } => {
-                    burst_at = burst_at.max(at.max(now));
-                    burst.push((frame, false));
-                }
-                Delivery::Dropped => self.arm_watchdog(link),
-            }
-        }
-        if !burst.is_empty() {
-            self.queue.schedule(
-                burst_at,
-                Ev::ArriveBurst {
-                    link,
-                    dir,
-                    frames: burst,
-                },
-            );
-        }
-        Ok(())
     }
 
     /// Checkpoints every traced transaction riding a data frame at its
@@ -1833,15 +1723,16 @@ impl Fabric {
         };
         let now = self.queue.now();
         let latency = now - issued;
+        let observed = self.telemetry.enabled();
         if let Some(state) = self.paths.get_mut(&path) {
             state.completions.record(latency.as_ns());
             state.completed_bytes += 128;
+            if observed {
+                state.rtt.record(latency.as_ns());
+            }
         }
         self.telemetry.inc(self.tele.retired);
         self.telemetry.record_ns(self.tele.rtt, latency.as_ns());
-        if let Some(state) = self.paths.get(&path) {
-            self.telemetry.record_ns(state.tele_rtt, latency.as_ns());
-        }
         if self.tracer.active() {
             let ctx = self
                 .tracer
@@ -2026,46 +1917,6 @@ impl Fabric {
                     self.retire(tag, &mut done)?;
                 }
             }
-            Ev::ArriveBurst {
-                link,
-                dir,
-                mut frames,
-            } => {
-                // A pre-batched window of same-link data frames: feed the
-                // whole burst through the Rx ingress in one pass, exactly
-                // like the coincident-arrival batching above.
-                let now = self.queue.now();
-                while let Some(Ev::ArriveBurst { frames: more, .. }) =
-                    self.queue.pop_coincident(|e| {
-                        matches!(
-                            e,
-                            Ev::ArriveBurst { link: l, dir: d, .. } if *l == link && *d == dir
-                        )
-                    })
-                {
-                    frames.extend(more);
-                }
-                let action = match self.links.get_mut(link).and_then(Option::as_mut) {
-                    Some(slot) => {
-                        let rx = match dir {
-                            Dir::ToMemory => &mut slot.up.rx,
-                            Dir::ToCompute => &mut slot.down.rx,
-                        };
-                        rx.enqueue_arrivals(&mut frames)?;
-                        Some(rx.drain_ingress()?)
-                    }
-                    None => None,
-                };
-                if let Some(action) = action {
-                    for c in action.replies {
-                        self.transmit(link, dir, Frame::Control(c), now);
-                    }
-                    for msg in action.delivered {
-                        self.dispatch_delivery(link, dir, msg, now)?;
-                    }
-                    self.pump(link, dir)?;
-                }
-            }
             Ev::Inject { path } => {
                 // A deferred (possibly cross-partition) issue lands. A
                 // path poisoned since the injection was scheduled refuses
@@ -2112,26 +1963,6 @@ impl Fabric {
     /// a conservative partition runner folds into its window bound.
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
-    }
-
-    /// Runs every event strictly before `bound`, appending completions
-    /// to `sink`. Events at or after `bound` stay queued — this is the
-    /// partition window primitive.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Fabric::step`] failures.
-    pub fn step_until(
-        &mut self,
-        bound: SimTime,
-        sink: &mut Vec<Completion>,
-    ) -> Result<(), FabricError> {
-        while self.queue.peek_time().is_some_and(|t| t < bound) {
-            if let Some(done) = self.step()? {
-                sink.extend(done);
-            }
-        }
-        Ok(())
     }
 
     /// Schedules one cacheline read on `path` to issue at instant `at`
@@ -2182,15 +2013,6 @@ impl Fabric {
                 .chain(segs)
             })
             .min()
-    }
-
-    /// Opts the hot path in (or out) of wire-burst batching: data frames
-    /// pumped back-to-back on one link move as a single
-    /// [`Ev::ArriveBurst`] at the burst's last arrival instant. Fewer,
-    /// fatter events for throughput workloads, at the cost of per-frame
-    /// arrival granularity — reference trajectories keep it off.
-    pub fn set_wire_batching(&mut self, on: bool) {
-        self.wire_batching = on;
     }
 
     /// Schedules a failure script on the event queue and arms link-down
@@ -3148,18 +2970,6 @@ impl Fabric {
             .ok_or(FabricError::UnknownPath(path))
     }
 
-    /// The `(first, count)` section-table run the path occupies.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown paths.
-    pub fn path_sections(&self, path: PathId) -> Result<(u64, u64), FabricError> {
-        self.paths
-            .get(&path.0)
-            .map(|s| (s.first_section, s.section_count))
-            .ok_or(FabricError::UnknownPath(path))
-    }
-
     /// The path a live link belongs to, or `None` for tombstoned slots.
     pub fn link_path(&self, link: usize) -> Option<PathId> {
         self.links
@@ -3356,6 +3166,7 @@ impl Fabric {
             let Some(slot) = slot.as_ref() else {
                 continue;
             };
+            let stats = Self::stats_of(slot, i);
             // Endpoint channels: the slot's own topology links (the
             // slot index itself on topology-less fabrics).
             let targets: Vec<usize> = if self.topo.is_some() {
@@ -3367,12 +3178,9 @@ impl Fabric {
                 let Some(row) = rows.get_mut(tl) else {
                     continue;
                 };
-                row.endpoint_frames +=
-                    slot.fwd.chan.frames_sent() + slot.rev.chan.frames_sent();
-                row.replays +=
-                    slot.up.tx.frames_replayed() + slot.down.tx.frames_replayed();
-                row.credit_stalls += slot.up.tx.credits().starvation_events()
-                    + slot.down.tx.credits().starvation_events();
+                row.endpoint_frames += stats.fwd_frames + stats.rev_frames;
+                row.replays += stats.up_replays + stats.down_replays;
+                row.credit_stalls += stats.up_credit_stalls + stats.down_credit_stalls;
                 row.utilization = row
                     .utilization
                     .max(slot.fwd.chan.utilization(now))
@@ -3463,59 +3271,29 @@ impl Fabric {
     }
 
     /// A snapshot of every registered metric at the current instant,
-    /// with each live link's component statistics (frames, replays,
-    /// credits, backlog, ingress high-water) mirrored in under
-    /// `fabric.link{n}.*` paths.
-    pub fn telemetry_snapshot(&mut self) -> Snapshot {
-        self.refresh_link_metrics();
-        self.telemetry.snapshot(self.queue.now())
-    }
-
-    fn refresh_link_metrics(&mut self) {
-        if !self.telemetry.enabled() {
-            return;
-        }
-        for link in 0..self.links.len() {
-            let Some((t, s)) = self
-                .links
-                .get(link)
-                .and_then(Option::as_ref)
-                .map(|slot| (slot.tele, Self::stats_of(slot, link)))
-            else {
-                continue;
-            };
-            self.telemetry.set_counter(t.fwd_frames, s.fwd_frames);
-            self.telemetry.set_counter(t.fwd_bytes, s.fwd_bytes);
-            self.telemetry.set_counter(t.rev_frames, s.rev_frames);
-            self.telemetry.set_counter(t.rev_bytes, s.rev_bytes);
-            self.telemetry.set_counter(t.up_replays, s.up_replays);
-            self.telemetry.set_counter(t.down_replays, s.down_replays);
-            self.telemetry.set_counter(t.up_delivered, s.up_delivered);
-            self.telemetry
-                .set_counter(t.down_delivered, s.down_delivered);
-            self.telemetry
-                .set_counter(t.up_credit_stalls, s.up_credit_stalls);
-            self.telemetry
-                .set_counter(t.down_credit_stalls, s.down_credit_stalls);
-            self.telemetry
-                .set_gauge(t.up_credits, u64::from(s.up_credits));
-            self.telemetry
-                .set_gauge(t.down_credits, u64::from(s.down_credits));
-            self.telemetry
-                .set_gauge(t.up_backlog, u64::try_from(s.up_backlog).unwrap_or(u64::MAX));
-            self.telemetry.set_gauge(
-                t.down_backlog,
-                u64::try_from(s.down_backlog).unwrap_or(u64::MAX),
-            );
-            self.telemetry.set_gauge(
-                t.up_rx_high_water,
-                u64::try_from(s.up_rx_high_water).unwrap_or(u64::MAX),
-            );
-            self.telemetry.set_gauge(
-                t.down_rx_high_water,
-                u64::try_from(s.down_rx_high_water).unwrap_or(u64::MAX),
+    /// plus each live path's `fabric.path{n}.rtt_ns` timer. While
+    /// telemetry is enabled, each live link's [`LinkStats`] (frames,
+    /// replays, credits, backlog, ingress high-water) is derived in
+    /// under `fabric.link{n}.*` paths; detached links carry no rows.
+    pub fn telemetry_snapshot(&self) -> Snapshot {
+        let mut snap = self.telemetry.snapshot(self.queue.now());
+        for (id, state) in &self.paths {
+            snap.metrics.insert(
+                format!("fabric.path{id}.rtt_ns"),
+                Metric::Timer(state.rtt.clone()),
             );
         }
+        if self.telemetry.enabled() {
+            for (link, slot) in self.links.iter().enumerate() {
+                let Some(slot) = slot else {
+                    continue;
+                };
+                for (leaf, metric) in Self::stats_of(slot, link).metric_rows() {
+                    snap.metrics.insert(format!("fabric.link{link}.{leaf}"), metric);
+                }
+            }
+        }
+        snap
     }
 
     /// Caps the number of finished flit traces the fabric retains.
@@ -3526,11 +3304,6 @@ impl Fabric {
     /// Finished flit traces, in retire order.
     pub fn traces(&self) -> &[FlitTrace] {
         self.tracer.traces()
-    }
-
-    /// Drains the finished flit traces.
-    pub fn take_traces(&mut self) -> Vec<FlitTrace> {
-        self.tracer.take()
     }
 
     /// Traces that finished but were discarded at the retention cap.
@@ -3594,27 +3367,6 @@ impl Fabric {
         Err(FabricError::Protocol(
             "fabric drained without completing the traced probe".into(),
         ))
-    }
-
-    /// Internal counters for calibration debugging.
-    #[doc(hidden)]
-    pub fn debug_stats(&self) -> String {
-        let Some(slot) = self.links.first().and_then(Option::as_ref) else {
-            return "no live links".to_string();
-        };
-        format!(
-            "fwd: frames={} bytes={} free_at={}\nrev: frames={} bytes={} free_at={}\nrev tx: sent={} backlog={} starved={}\ninflight={}",
-            slot.fwd.chan.frames_sent(),
-            slot.fwd.chan.bytes_sent(),
-            slot.fwd.chan.free_at(),
-            slot.rev.chan.frames_sent(),
-            slot.rev.chan.bytes_sent(),
-            slot.rev.chan.free_at(),
-            slot.down.tx.frames_sent(),
-            slot.down.tx.backlog(),
-            slot.down.tx.credits().starvation_events(),
-            self.inflight.len(),
-        )
     }
 }
 
@@ -4044,10 +3796,23 @@ mod tests {
         }
     }
 
+    /// The `fabric.link{link}.*` keys of a snapshot.
+    fn link_keys(snap: &Snapshot, link: usize) -> Vec<String> {
+        let prefix = format!("fabric.link{link}.");
+        snap.metrics
+            .keys()
+            .filter(|k| k.starts_with(&prefix))
+            .cloned()
+            .collect()
+    }
+
     #[test]
     fn telemetry_registry_tracks_loads_and_links() {
-        let mut f = fabric(WindowSpec::reference(256 << 20));
-        let p = f.attach_path(&PathSpec::reference(256 << 20, 1)).unwrap();
+        let mut f = fabric(WindowSpec::rack_default());
+        let p = f.attach_path(&PathSpec::reference(256 << 20, 2)).unwrap();
+        let q = f
+            .attach_path(&PathSpec::new(NetworkId(2), Pasid(2), 0x7100_0000_0000, 256 << 20))
+            .unwrap();
         f.set_telemetry(true);
         f.measure_load_latency(p).unwrap();
         f.measure_load_latency(p).unwrap();
@@ -4056,15 +3821,54 @@ mod tests {
         assert_eq!(snap.counter("fabric.loads.retired"), Some(2));
         let rtt = snap.timer("fabric.rtt_ns").expect("rtt timer");
         assert_eq!(rtt.count(), 2);
-        let s = f.link_stats(0).expect("live link");
-        assert_eq!(snap.counter("fabric.link0.fwd.frames"), Some(s.fwd_frames));
-        assert_eq!(
-            snap.counter("fabric.link0.up.replays"),
-            Some(s.up_replays)
-        );
+        let path_rtt = snap.timer(&format!("fabric.path{}.rtt_ns", p.0)).expect("path timer");
+        assert_eq!(path_rtt.count(), 2);
         let hop = snap.timer("fabric.hop.c1_dram").expect("hop timer");
         assert_eq!(hop.count(), 2);
-        // Disabled fabrics record nothing.
+
+        // Every leaf of every live link is derived from `link_stats`,
+        // on both channels of the bonded path and the single one.
+        f.measure_stream_bandwidth(p, 8, 8, SimTime::from_us(5)).unwrap();
+        f.drain().unwrap();
+        let snap = f.telemetry_snapshot();
+        for link in [0, 1, 2] {
+            let s = f.link_stats(link).expect("live link");
+            let c = |leaf: &str| snap.counter(&format!("fabric.link{link}.{leaf}"));
+            let g = |leaf: &str| snap.gauge(&format!("fabric.link{link}.{leaf}"));
+            let level = |n: usize| Some(u64::try_from(n).unwrap());
+            assert_eq!(link_keys(&snap, link).len(), 16, "link{link} leaves");
+            assert_eq!(c("fwd.frames"), Some(s.fwd_frames));
+            assert_eq!(c("fwd.bytes"), Some(s.fwd_bytes));
+            assert_eq!(c("rev.frames"), Some(s.rev_frames));
+            assert_eq!(c("rev.bytes"), Some(s.rev_bytes));
+            assert_eq!(c("up.replays"), Some(s.up_replays));
+            assert_eq!(c("down.replays"), Some(s.down_replays));
+            assert_eq!(c("up.delivered"), Some(s.up_delivered));
+            assert_eq!(c("down.delivered"), Some(s.down_delivered));
+            assert_eq!(c("up.credit_stalls"), Some(s.up_credit_stalls));
+            assert_eq!(c("down.credit_stalls"), Some(s.down_credit_stalls));
+            assert_eq!(g("up.credits"), Some(u64::from(s.up_credits)));
+            assert_eq!(g("down.credits"), Some(u64::from(s.down_credits)));
+            assert_eq!(g("up.backlog"), level(s.up_backlog));
+            assert_eq!(g("down.backlog"), level(s.down_backlog));
+            assert_eq!(g("up.rx_high_water"), level(s.up_rx_high_water));
+            assert_eq!(g("down.rx_high_water"), level(s.down_rx_high_water));
+        }
+        for link in [0, 1] {
+            let frames = f.link_stats(link).expect("live link").fwd_frames;
+            assert!(frames > 0, "the bonded stream never crossed link{link}");
+        }
+
+        // A detached path leaves no rows behind: its tombstoned link and
+        // its RTT timer vanish while the survivor's rows stay.
+        f.detach_path(q).unwrap();
+        let snap = f.telemetry_snapshot();
+        assert!(link_keys(&snap, 2).is_empty(), "tombstoned link2 kept rows");
+        assert!(snap.get(&format!("fabric.path{}.rtt_ns", q.0)).is_none());
+        assert_eq!(link_keys(&snap, 0).len(), 16);
+        assert_eq!(link_keys(&snap, 1).len(), 16);
+
+        // Disabled fabrics record nothing and derive no link rows.
         let mut quiet = fabric(WindowSpec::reference(256 << 20));
         let q = quiet
             .attach_path(&PathSpec::reference(256 << 20, 1))
@@ -4072,6 +3876,7 @@ mod tests {
         quiet.measure_load_latency(q).unwrap();
         let snap = quiet.telemetry_snapshot();
         assert_eq!(snap.counter("fabric.loads.issued"), Some(0));
+        assert!(link_keys(&snap, 0).is_empty());
         assert!(quiet.traces().is_empty());
     }
 }

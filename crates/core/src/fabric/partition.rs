@@ -165,7 +165,7 @@ impl FabricShard {
         }
     }
 
-    fn digest(&mut self) -> ShardDigest {
+    fn digest(&self) -> ShardDigest {
         let telemetry_json = if self.fabric.telemetry_enabled() {
             Some(self.fabric.telemetry_snapshot().to_json())
         } else {
@@ -456,14 +456,6 @@ impl PartitionedFabric {
         }
     }
 
-    /// Opts every shard's hot path into (or out of) wire-burst
-    /// batching.
-    pub fn set_wire_batching(&mut self, on: bool) {
-        for s in &mut self.shards {
-            s.fabric.set_wire_batching(on);
-        }
-    }
-
     /// Schedules a chaos script on the shard that owns the affected
     /// links. Failures never leak to other shards: each shard's links
     /// live on its own event queue.
@@ -513,8 +505,8 @@ impl PartitionedFabric {
 
     /// Per-shard digests: the quantities the 1-vs-N bit-identity gate
     /// compares.
-    pub fn digests(&mut self) -> Vec<ShardDigest> {
-        self.shards.iter_mut().map(FabricShard::digest).collect()
+    pub fn digests(&self) -> Vec<ShardDigest> {
+        self.shards.iter().map(FabricShard::digest).collect()
     }
 
     /// Aggregate events processed across all shards (the partitioned
@@ -528,8 +520,8 @@ impl PartitionedFabric {
 
     /// Telemetry snapshot of one shard (enables nothing; `None` unless
     /// telemetry is on).
-    pub fn shard_snapshot(&mut self, shard: usize) -> Option<Snapshot> {
-        let s = self.shards.get_mut(shard)?;
+    pub fn shard_snapshot(&self, shard: usize) -> Option<Snapshot> {
+        let s = self.shards.get(shard)?;
         if s.fabric.telemetry_enabled() {
             Some(s.fabric.telemetry_snapshot())
         } else {

@@ -65,7 +65,7 @@ pub struct WindowSpec {
 }
 
 impl WindowSpec {
-    /// The reference placement the pre-fabric `Datapath` hardwired:
+    /// The reference placement the pre-fabric datapath hardwired:
     /// base `0x1000_0000_0000`, sized exactly to one attachment.
     pub fn reference(bytes: u64) -> Self {
         WindowSpec {

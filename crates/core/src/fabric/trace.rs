@@ -675,10 +675,6 @@ impl FlitTracer {
     pub(crate) fn traces(&self) -> &[FlitTrace] {
         &self.finished
     }
-
-    pub(crate) fn take(&mut self) -> Vec<FlitTrace> {
-        std::mem::take(&mut self.finished)
-    }
 }
 
 /// One aggregated row of a [`LatencyBreakdown`].

@@ -13,9 +13,8 @@
 //! * [`fabric`] — the pipeline as typed components with explicit ports,
 //!   wired into arbitrary topologies (point-to-point, 1×N fan-out,
 //!   circuit-switched rack) over one shared event queue, with dynamic
-//!   path attach/detach at flit granularity.
-//! * [`datapath`] — the historical monolithic API, now a thin facade
-//!   over the point-to-point fabric, used to *measure* the prototype
+//!   path attach/detach at flit granularity. Its reference topology,
+//!   [`FabricBuilder::point_to_point`], *measures* the prototype
 //!   numbers (≈950 ns flit RTT, channel saturation, the 16 GiB/s C1 cap
 //!   under bonding).
 //! * [`memmodel`] — the application-level memory model calibrated
@@ -45,7 +44,6 @@
 
 pub mod attach;
 pub mod config;
-pub mod datapath;
 pub mod endpoint;
 pub mod fabric;
 pub mod memmodel;
@@ -55,7 +53,6 @@ pub mod scaling;
 
 pub use attach::{AttachRequest, Lease, LeaseId};
 pub use config::SystemConfig;
-pub use datapath::Datapath;
 pub use fabric::{Fabric, FabricBuilder};
 pub use memmodel::MemoryModel;
 pub use params::DatapathParams;

@@ -34,7 +34,7 @@ use simkit::time::SimTime;
 use crate::attach::{AttachRequest, Lease, LeaseId};
 use crate::config::SystemConfig;
 use crate::fabric::{
-    ChaosPlan, CongestionReport, Fabric, FabricBuilder, FabricError, FlitTrace, Journal,
+    ChaosPlan, CongestionReport, Fabric, FabricBuilder, FabricError, Journal,
     JournalKind, JournalRecord, LatencyBreakdown, LinkCongestion, PathId, PathSpec, SloBreach,
     SloSpec, StreamLoad,
 };
@@ -991,8 +991,12 @@ impl Rack {
     /// # Errors
     ///
     /// Fails on unknown leases.
-    pub fn lease_telemetry(&mut self, id: LeaseId) -> Result<Snapshot, RackError> {
-        let (fabric, _) = self.lease_fabric(id)?;
+    pub fn lease_telemetry(&self, id: LeaseId) -> Result<Snapshot, RackError> {
+        let (host, _) = self
+            .lease_paths
+            .get(&id)
+            .ok_or(RackError::UnknownLease(id))?;
+        let fabric = self.fabrics.get(host).ok_or(RackError::UnknownLease(id))?;
         Ok(fabric.telemetry_snapshot())
     }
 
@@ -1008,17 +1012,6 @@ impl Rack {
         let (fabric, path) = self.lease_fabric(id)?;
         fabric.measure_traced_load(path)?;
         Ok(fabric.path_breakdown(path)?)
-    }
-
-    /// Measures one uncontended load over the lease's path with span
-    /// tracing forced on, returning the load's complete flit trace.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown leases or fabric protocol violations.
-    pub fn trace_lease_load(&mut self, id: LeaseId) -> Result<FlitTrace, RackError> {
-        let (fabric, path) = self.lease_fabric(id)?;
-        Ok(fabric.measure_traced_load(path)?)
     }
 
     /// Runs a closed-loop read stream over the lease's flit-level path
@@ -1297,6 +1290,27 @@ mod tests {
         r.detach(lease.id()).unwrap();
         assert_eq!(r.host("borrower").unwrap().remote_bytes(), 0);
         assert_eq!(r.leases().count(), 0);
+    }
+
+    #[test]
+    fn lease_churn_leaves_the_telemetry_key_count_flat() {
+        let mut r = rack();
+        let standing = r
+            .attach(AttachRequest::new("borrower", "donor", 4 * GIB))
+            .unwrap();
+        r.set_lease_telemetry(standing.id(), true).unwrap();
+        r.measure_lease_rtt(standing.id()).unwrap();
+        let keys = |r: &Rack| r.lease_telemetry(standing.id()).unwrap().metrics.len();
+        let flat = keys(&r);
+        for cycle in 0..32 {
+            let lease = r
+                .attach(AttachRequest::new("borrower", "donor", 4 * GIB))
+                .unwrap();
+            r.measure_lease_rtt(lease.id()).unwrap();
+            assert!(keys(&r) > flat, "a live lease's link rows are missing");
+            r.detach(lease.id()).unwrap();
+            assert_eq!(keys(&r), flat, "cycle {cycle} left telemetry keys behind");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! the core crate; it lives here so route identity is owned by the
 //! routing layer and core only *instantiates* plans. Every constant is
 //! part of the repo's bit-for-bit parity surface — the reference plan
-//! is the exact flow the pre-fabric monolithic `Datapath` hardwired,
+//! is the exact flow the pre-fabric monolithic datapath hardwired,
 //! and the donor plan is the exact per-donor fan-out arithmetic from
 //! the original builder.
 
@@ -38,7 +38,7 @@ pub struct FlowPlan {
 
 impl FlowPlan {
     /// The reference point-to-point flow: network 1, PASID 42, donor EA
-    /// [`DONOR_EA_BASE`] — the constants the monolithic `Datapath`
+    /// [`DONOR_EA_BASE`] — the constants the monolithic datapath
     /// hardwired before the fabric existed.
     pub fn reference() -> Self {
         FlowPlan {

@@ -232,16 +232,6 @@ impl Registry {
         }
     }
 
-    /// Overwrites a counter with a cumulative `total` maintained
-    /// elsewhere — for mirror counters refreshed at snapshot time from a
-    /// component's own monotonic statistics.
-    #[inline]
-    pub fn set_counter(&mut self, id: CounterId, total: u64) {
-        if self.enabled {
-            self.counters[id.0] = total;
-        }
-    }
-
     /// Sets a gauge to `level`.
     #[inline]
     pub fn set_gauge(&mut self, id: GaugeId, level: u64) {

@@ -876,7 +876,7 @@ const SIM_CRATES: &[&str] = &[
 /// Crates whose public APIs must use unit newtypes (TF003).
 const UNIT_API_CRATES: &[&str] = &["simkit", "llc", "netsim", "routing"];
 
-/// Datapath crates where panics are forbidden outside tests (TF004).
+/// The datapath crates where panics are forbidden outside tests (TF004).
 const DATAPATH_CRATES: &[&str] = &["llc", "routing", "rmmu", "opencapi", "netsim"];
 
 /// The core crate's fabric module carries the flit-level datapath after
