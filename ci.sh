@@ -10,6 +10,9 @@ cargo build --release
 echo "==> cargo test -q (workspace)"
 cargo test --workspace -q
 
+echo "==> cargo doc (rustdoc warnings are errors: no dangling intra-doc links)"
+cargo doc --offline --no-deps --workspace
+
 echo "==> perfbench tests (the benchmark driver builds against the public core API)"
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
 

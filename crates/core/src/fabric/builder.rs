@@ -3,7 +3,7 @@
 //! [`FabricBuilder`] assembles a [`Fabric`] over one shared event queue
 //! and attaches the requested paths. Since the topology layer landed,
 //! every canned shape is a thin wrapper over a degenerate
-//! [`Topology`](routing::Topology):
+//! [`Topology`]:
 //!
 //! * [`FabricBuilder::point_to_point`] — a 2-node [`routing::Line`];
 //!   the pre-fabric monolith's shape, preserved event-for-event as the
@@ -244,7 +244,6 @@ fn donor_share(d: usize, share: u64) -> PathSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::stage::StageKind;
     use simkit::time::SimTime;
 
     #[test]
@@ -252,17 +251,20 @@ mod tests {
         let (fabric, paths) =
             FabricBuilder::fan_out(DatapathParams::prototype(), 3, 256 << 20).unwrap();
         assert_eq!(paths.len(), 3);
-        let kinds = fabric.components();
-        let donors = kinds
+        let donors: Vec<usize> = paths.iter().map(|&p| fabric.path_donor(p).unwrap()).collect();
+        assert_eq!(donors, vec![0, 1, 2], "one donor stage per path");
+        let links: Vec<usize> = paths
             .iter()
-            .filter(|(_, k)| *k == StageKind::C1MasterDram)
-            .count();
-        let captures = kinds
-            .iter()
-            .filter(|(_, k)| *k == StageKind::M1Capture)
-            .count();
-        assert_eq!(donors, 3);
-        assert_eq!(captures, 1, "fan-out shares one M1 capture stage");
+            .flat_map(|&p| fabric.path_link_stats(p).unwrap())
+            .map(|s| s.link)
+            .collect();
+        assert_eq!(links, vec![0, 1, 2], "one link slot per path");
+        assert!(fabric.switch_stage().is_none());
+        // One shared M1 capture: the paths' windows tile its device window.
+        let windows: Vec<_> = paths.iter().map(|&p| fabric.path_window(p).unwrap()).collect();
+        for pair in windows.windows(2) {
+            assert_eq!(pair[1].base, pair[0].base + pair[0].bytes);
+        }
     }
 
     #[test]

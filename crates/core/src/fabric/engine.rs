@@ -47,13 +47,13 @@ use crate::fabric::chaos::{
     ChaosEvent, ChaosPlan, FaultKind, LinkRef, LoadFault, RecoveryConfig,
 };
 use crate::fabric::obs::{CongestionReport, Journal, JournalKind, JournalRecord, LinkCongestion};
-use crate::fabric::port::{ComponentId, Connection, PortRef, PortUnit, WiringError};
 use crate::fabric::stage::{
-    C1MasterDram, FabricComponent, FabricMsg, LlcPair, M1Capture, RmmuTranslate, RouterStage,
-    StageKind, SwitchStage, WindowSpec, WireChannel,
+    C1MasterDram, FabricMsg, LlcPair, M1Capture, RmmuTranslate, RouterStage, SwitchStage,
+    WindowSpec, WireChannel,
 };
 use crate::fabric::trace::{
-    FlitTrace, FlitTracer, HopContext, HopKind, LatencyBreakdown, SpanIds, WireDir, WireLatency,
+    ComponentId, FlitTrace, FlitTracer, HopContext, HopKind, LatencyBreakdown, SpanIds, WireDir,
+    WireLatency,
 };
 use crate::params::DatapathParams;
 
@@ -220,8 +220,6 @@ pub enum FabricError {
         /// The failure that killed it.
         kind: FaultKind,
     },
-    /// A connection violated the port typing rules.
-    Wiring(WiringError),
     /// The path specification is malformed.
     Config(String),
     /// The topology layer refused the operation (unknown node, no
@@ -251,7 +249,6 @@ impl fmt::Display for FabricError {
             FabricError::PathFaulted { path, kind } => {
                 write!(f, "{path} is poisoned: {kind}")
             }
-            FabricError::Wiring(e) => write!(f, "wiring: {e}"),
             FabricError::Config(msg) => write!(f, "bad path spec: {msg}"),
             FabricError::Topology(e) => write!(f, "topology: {e}"),
             FabricError::Telemetry(e) => write!(f, "telemetry: {e}"),
@@ -301,12 +298,6 @@ impl From<TelemetryError> for FabricError {
 impl From<M1Error> for FabricError {
     fn from(e: M1Error) -> Self {
         FabricError::M1(e)
-    }
-}
-
-impl From<WiringError> for FabricError {
-    fn from(e: WiringError) -> Self {
-        FabricError::Wiring(e)
     }
 }
 
@@ -600,7 +591,6 @@ struct LinkSlot {
 /// Per-path bookkeeping.
 struct PathState {
     network: NetworkId,
-    pasid: Pasid,
     donor: usize,
     links: Vec<usize>,
     window_base: u64,
@@ -623,7 +613,6 @@ const ROUTER_ID: ComponentId = ComponentId(2);
 const SWITCH_ID: ComponentId = ComponentId(3);
 const LINK_ID_BASE: u32 = 100;
 const DONOR_ID_BASE: u32 = 10_000;
-const INTERIOR_ID_BASE: u32 = 20_000;
 
 fn up_id(link: usize) -> ComponentId {
     ComponentId(LINK_ID_BASE + 4 * link as u32)
@@ -645,10 +634,6 @@ fn donor_id(donor: usize) -> ComponentId {
     ComponentId(DONOR_ID_BASE + donor as u32)
 }
 
-fn interior_id(node: NodeId) -> ComponentId {
-    ComponentId(INTERIOR_ID_BASE + node.0)
-}
-
 /// The composable flit-level fabric.
 pub struct Fabric {
     params: DatapathParams,
@@ -664,7 +649,6 @@ pub struct Fabric {
     queue: EventQueue<Ev>,
     inflight: BTreeMap<u64, (SimTime, u32, usize)>,
     next_tag: u64,
-    connections: Vec<Connection>,
     telemetry: Registry,
     tele: FabricTele,
     tracer: FlitTracer,
@@ -684,9 +668,6 @@ pub struct Fabric {
     /// The topology the fabric was built over, when one was declared.
     /// `None` on raw [`Fabric::attach_path`] fabrics.
     topo: Option<FabricTopo>,
-    /// Forwarding stages at interior topology nodes, keyed by node id —
-    /// one per node any multi-hop route crosses.
-    interior: BTreeMap<u32, SwitchStage>,
     /// Times an interior link failure was detoured by re-routing.
     route_reroutes: u64,
     /// The causal event journal, when enabled ([`Fabric::set_journal`]).
@@ -713,19 +694,6 @@ impl Fabric {
     ) -> Result<Self, FabricError> {
         let capture = M1Capture::new(window);
         let translate = RmmuTranslate::new(window);
-        let mut connections = vec![
-            Connection {
-                from: PortRef::new(CAPTURE_ID, "captured"),
-                to: PortRef::new(TRANSLATE_ID, "captured"),
-                unit: PortUnit::HostTransaction,
-            },
-            Connection {
-                from: PortRef::new(TRANSLATE_ID, "translated"),
-                to: PortRef::new(ROUTER_ID, "translated"),
-                unit: PortUnit::RoutedTransaction,
-            },
-        ];
-        connections.shrink_to_fit();
         // Telemetry starts disabled: instrumentation is observation only
         // and costs one predicted branch per hook until switched on.
         let mut telemetry = Registry::new(false);
@@ -744,17 +712,15 @@ impl Fabric {
             queue: EventQueue::with_engine(engine),
             inflight: BTreeMap::new(),
             next_tag: 0,
-            connections,
             telemetry,
             tele,
-            tracer: FlitTracer::new(),
+            tracer: FlitTracer::default(),
             recovery: None,
             faults: Vec::new(),
             faulted: BTreeMap::new(),
             late_completions: 0,
             injects_refused: 0,
             topo: None,
-            interior: BTreeMap::new(),
             route_reroutes: 0,
             journal: None,
         })
@@ -795,19 +761,6 @@ impl Fabric {
     /// one FPGA stack crossing.
     fn edge_latency(&self) -> SimTime {
         self.params.edge_crossing()
-    }
-
-    fn connect(
-        &mut self,
-        from: PortRef,
-        to: PortRef,
-        unit: PortUnit,
-    ) -> Result<(), FabricError> {
-        if self.connections.iter().any(|c| c.to == to) {
-            return Err(FabricError::Wiring(WiringError::PortDriven(to)));
-        }
-        self.connections.push(Connection { from, to, unit });
-        Ok(())
     }
 
     /// Attaches one compute→donor path: finds a free section run in the
@@ -871,11 +824,6 @@ impl Fabric {
         let path = if collapsed {
             self.attach_inner(spec, &route.links, &[])?
         } else {
-            for &n in route.interior() {
-                self.interior
-                    .entry(n.0)
-                    .or_insert_with(|| SwitchStage::new(CircuitSwitch::optical(64)));
-            }
             self.attach_inner(spec, &route.links[..1], &route.links[1..])?
         };
         if let Some(topo) = self.topo.as_mut() {
@@ -982,8 +930,8 @@ impl Fabric {
                 ))
             };
             self.links.push(Some(LinkSlot {
-                up: LlcPair::new(llc_config, PortUnit::RoutedTransaction),
-                down: LlcPair::new(llc_config, PortUnit::Response),
+                up: LlcPair::new(llc_config),
+                down: LlcPair::new(llc_config),
                 fwd: WireChannel::new(mk_chan(fwd_seed)),
                 rev: WireChannel::new(mk_chan(rev_seed)),
                 donor: donor_idx,
@@ -1000,7 +948,6 @@ impl Fabric {
             // Link indices stay far below u32::MAX.
             chan_ids.push(ChannelId(link as u32));
             link_indices.push(link);
-            self.wire_link(link, donor_idx, circuit)?;
         }
 
         // Section-table entries + route.
@@ -1017,7 +964,6 @@ impl Fabric {
             path_id,
             PathState {
                 network: spec.network,
-                pasid: spec.pasid,
                 donor: donor_idx,
                 links: link_indices,
                 window_base: self.window.base + first_section * section,
@@ -1107,72 +1053,6 @@ impl Fabric {
         }
     }
 
-    /// Records the port-level wiring of one link in the connection graph.
-    fn wire_link(
-        &mut self,
-        link: usize,
-        donor: usize,
-        circuit: Option<(PortId, PortId)>,
-    ) -> Result<(), FabricError> {
-        let (up, down, fwd, rev) = (up_id(link), down_id(link), fwd_id(link), rev_id(link));
-        self.connect(
-            PortRef::new(ROUTER_ID, &format!("tx{link}")),
-            PortRef::new(up, "offer"),
-            PortUnit::RoutedTransaction,
-        )?;
-        match circuit {
-            Some((a, b)) => {
-                self.connect(
-                    PortRef::new(up, "wire_out"),
-                    PortRef::new(SWITCH_ID, &format!("p{}_in", a.0)),
-                    PortUnit::Frame,
-                )?;
-                self.connect(
-                    PortRef::new(SWITCH_ID, &format!("p{}_out", b.0)),
-                    PortRef::new(fwd, "in"),
-                    PortUnit::Frame,
-                )?;
-            }
-            None => {
-                self.connect(
-                    PortRef::new(up, "wire_out"),
-                    PortRef::new(fwd, "in"),
-                    PortUnit::Frame,
-                )?;
-            }
-        }
-        self.connect(
-            PortRef::new(fwd, "out"),
-            PortRef::new(up, "wire_in"),
-            PortUnit::Frame,
-        )?;
-        let lane = match self.donors.get_mut(donor).and_then(Option::as_mut) {
-            Some(d) => d.add_lane(),
-            None => 0,
-        };
-        self.connect(
-            PortRef::new(up, "deliver"),
-            PortRef::new(donor_id(donor), &format!("request{lane}")),
-            PortUnit::RoutedTransaction,
-        )?;
-        self.connect(
-            PortRef::new(donor_id(donor), "response"),
-            PortRef::new(down, "offer"),
-            PortUnit::Response,
-        )?;
-        self.connect(
-            PortRef::new(down, "wire_out"),
-            PortRef::new(rev, "in"),
-            PortUnit::Frame,
-        )?;
-        self.connect(
-            PortRef::new(rev, "out"),
-            PortRef::new(down, "wire_in"),
-            PortUnit::Frame,
-        )?;
-        Ok(())
-    }
-
     /// Detaches a path: removes the route, clears its section-table
     /// entries, frees its switch circuits and tombstones its link slots —
     /// surviving paths keep their channel indices and their trajectories.
@@ -1200,7 +1080,6 @@ impl Fabric {
             self.translate.unprogram(s)?;
         }
         let now = self.queue.now();
-        let mut dead = vec![donor_id(state.donor)];
         for &l in &state.links {
             if let Some(slot) = self.links.get_mut(l).and_then(Option::take) {
                 if let (Some((a, _)), Some(sw)) = (slot.circuit, self.switch.as_mut()) {
@@ -1209,13 +1088,10 @@ impl Fabric {
                     }
                 }
             }
-            dead.extend([up_id(l), down_id(l), fwd_id(l), rev_id(l)]);
         }
         self.donors
             .get_mut(state.donor)
             .and_then(Option::take);
-        self.connections
-            .retain(|c| !dead.contains(&c.from.component) && !dead.contains(&c.to.component));
         if self.journal.is_some() {
             let names = self.route_link_names(path.0);
             self.jot(
@@ -2047,11 +1923,6 @@ impl Fabric {
         &self.faults
     }
 
-    /// Drains the accumulated [`LoadFault`]s.
-    pub fn take_faults(&mut self) -> Vec<LoadFault> {
-        std::mem::take(&mut self.faults)
-    }
-
     /// Completions absorbed because their load had already been
     /// resolved as faulted (the response raced the failure declaration).
     pub fn late_completions(&self) -> u64 {
@@ -2383,11 +2254,6 @@ impl Fabric {
                 let mut links = vec![head_link];
                 links.extend_from_slice(&tail.links);
                 let new_route = TopoRoute { nodes, links };
-                for &n in new_route.interior() {
-                    self.interior
-                        .entry(n.0)
-                        .or_insert_with(|| SwitchStage::new(CircuitSwitch::optical(64)));
-                }
                 let mut new_gen = None;
                 for &s in &slot_indices {
                     let Some(slot) = self.links.get_mut(s).and_then(Option::as_mut)
@@ -2570,10 +2436,9 @@ impl Fabric {
     }
 
     /// Permanently removes a dead link: tombstones the slot, frees any
-    /// surviving circuit end, prunes the wiring graph, resolves the
-    /// link's in-flight loads to typed faults, and re-programs the
-    /// path's route around the loss — or poisons the path if this was
-    /// its last link.
+    /// surviving circuit end, resolves the link's in-flight loads to
+    /// typed faults, and re-programs the path's route around the loss —
+    /// or poisons the path if this was its last link.
     fn fail_link(&mut self, link: usize, kind: FaultKind) -> Result<(), FabricError> {
         let Some(slot) = self.links.get_mut(link).and_then(Option::take) else {
             return Ok(());
@@ -2589,9 +2454,6 @@ impl Fabric {
                 sw.switch.disconnect(a, now)?;
             }
         }
-        let dead = [up_id(link), down_id(link), fwd_id(link), rev_id(link)];
-        self.connections
-            .retain(|c| !dead.contains(&c.from.component) && !dead.contains(&c.to.component));
         // Resolve this link's stranded loads, in tag order so the fault
         // log is independent of hash-map iteration order.
         let mut stranded: Vec<u64> = self
@@ -2672,15 +2534,12 @@ impl Fabric {
         if self.donors.get_mut(donor).and_then(Option::take).is_none() {
             return Ok(()); // already detached — nothing left to crash
         }
-        let dead = donor_id(donor);
         let at = self.queue.now();
         self.jot(JournalRecord::new(
             at,
             JournalKind::DonorCrash,
             format!("donor {donor} crashed"),
         ));
-        self.connections
-            .retain(|c| c.from.component != dead && c.to.component != dead);
         let doomed: Vec<usize> = self
             .links
             .iter()
@@ -2724,23 +2583,8 @@ impl Fabric {
         };
         match realloc {
             Ok((a, b, ready)) => {
-                // Re-point the wiring graph at the new ports and flap
-                // the link for the reconfiguration window.
-                let (up, fwd) = (up_id(link), fwd_id(link));
-                self.connections.retain(|c| {
-                    !(c.from.component == up && c.to.component == SWITCH_ID)
-                        && !(c.from.component == SWITCH_ID && c.to.component == fwd)
-                });
-                self.connect(
-                    PortRef::new(up, "wire_out"),
-                    PortRef::new(SWITCH_ID, &format!("p{}_in", a.0)),
-                    PortUnit::Frame,
-                )?;
-                self.connect(
-                    PortRef::new(SWITCH_ID, &format!("p{}_out", b.0)),
-                    PortRef::new(fwd, "in"),
-                    PortUnit::Frame,
-                )?;
+                // Re-point the link at the new circuit and flap it for
+                // the reconfiguration window.
                 if let Some(slot) = self.links.get_mut(link).and_then(Option::as_mut) {
                     slot.circuit = Some((a, b));
                 }
@@ -2946,30 +2790,6 @@ impl Fabric {
             .ok_or(FabricError::UnknownPath(path))
     }
 
-    /// The path's label.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown paths.
-    pub fn path_label(&self, path: PathId) -> Result<&str, FabricError> {
-        self.paths
-            .get(&path.0)
-            .map(|s| s.label.as_str())
-            .ok_or(FabricError::UnknownPath(path))
-    }
-
-    /// The PASID the path's donor serves under.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown paths.
-    pub fn path_pasid(&self, path: PathId) -> Result<Pasid, FabricError> {
-        self.paths
-            .get(&path.0)
-            .map(|s| s.pasid)
-            .ok_or(FabricError::UnknownPath(path))
-    }
-
     /// The path a live link belongs to, or `None` for tombstoned slots.
     pub fn link_path(&self, link: usize) -> Option<PathId> {
         self.links
@@ -3052,35 +2872,6 @@ impl Fabric {
         &self.params
     }
 
-    /// The live component inventory.
-    pub fn components(&self) -> Vec<(ComponentId, StageKind)> {
-        let mut out = vec![
-            (CAPTURE_ID, self.capture.kind()),
-            (TRANSLATE_ID, self.translate.kind()),
-            (ROUTER_ID, self.route.kind()),
-        ];
-        if let Some(sw) = &self.switch {
-            out.push((SWITCH_ID, sw.kind()));
-        }
-        for (i, slot) in self.links.iter().enumerate() {
-            if let Some(s) = slot {
-                out.push((up_id(i), s.up.kind()));
-                out.push((down_id(i), s.down.kind()));
-                out.push((fwd_id(i), s.fwd.kind()));
-                out.push((rev_id(i), s.rev.kind()));
-            }
-        }
-        for (d, donor) in self.donors.iter().enumerate() {
-            if let Some(dn) = donor {
-                out.push((donor_id(d), dn.kind()));
-            }
-        }
-        for (&n, stage) in &self.interior {
-            out.push((interior_id(NodeId(n)), stage.kind()));
-        }
-        out
-    }
-
     /// The live route of a topology-attached path: the node/link walk
     /// currently carrying its frames (detours included). `None` for
     /// paths attached without a topology.
@@ -3129,11 +2920,6 @@ impl Fabric {
     /// The causal event journal, when enabled.
     pub fn journal(&self) -> Option<&Journal> {
         self.journal.as_ref()
-    }
-
-    /// Takes the journal, leaving journaling enabled with a fresh one.
-    pub fn take_journal(&mut self) -> Option<Journal> {
-        self.journal.as_mut().map(std::mem::take)
     }
 
     /// Appends `rec` if the journal is enabled.
@@ -3212,21 +2998,6 @@ impl Fabric {
         self.route_reroutes
     }
 
-    /// The checked port-level wiring of the live topology.
-    pub fn connections(&self) -> &[Connection] {
-        &self.connections
-    }
-
-    /// The translation stage (section-table inspection).
-    pub fn translate_stage(&self) -> &RmmuTranslate {
-        &self.translate
-    }
-
-    /// The routing stage.
-    pub fn router_stage(&self) -> &RouterStage {
-        &self.route
-    }
-
     /// The switching layer, when the topology has one.
     pub fn switch_stage(&self) -> Option<&SwitchStage> {
         self.switch.as_ref()
@@ -3240,9 +3011,9 @@ impl Fabric {
     /// The registry costs a few counter bumps per retired load and is
     /// meant to stay on; per-load span tracing costs checkpoint
     /// bookkeeping on every hop and retains whole traces, so for long
-    /// closed-loop runs either lower [`Fabric::set_trace_capacity`]
-    /// (the tracer quiesces when full) or keep only the registry on
-    /// via [`Fabric::set_tracing`]`(false)`.
+    /// closed-loop runs the tracer retains at most a fixed number of
+    /// finished traces and then quiesces; to keep only the registry on,
+    /// call [`Fabric::set_tracing`]`(false)`.
     pub fn set_telemetry(&mut self, enabled: bool) {
         self.telemetry.set_enabled(enabled);
         self.tracer.set_enabled(enabled);
@@ -3258,11 +3029,6 @@ impl Fabric {
     /// trace retention. Disabling discards in-flight checkpoints.
     pub fn set_tracing(&mut self, enabled: bool) {
         self.tracer.set_enabled(enabled);
-    }
-
-    /// Whether flit span tracing is currently enabled.
-    pub fn tracing_enabled(&self) -> bool {
-        self.tracer.enabled()
     }
 
     /// The metrics registry, for direct reads of registered metrics.
@@ -3296,19 +3062,9 @@ impl Fabric {
         snap
     }
 
-    /// Caps the number of finished flit traces the fabric retains.
-    pub fn set_trace_capacity(&mut self, cap: usize) {
-        self.tracer.set_capacity(cap);
-    }
-
     /// Finished flit traces, in retire order.
     pub fn traces(&self) -> &[FlitTrace] {
         self.tracer.traces()
-    }
-
-    /// Traces that finished but were discarded at the retention cap.
-    pub fn traces_dropped(&self) -> u64 {
-        self.tracer.dropped()
     }
 
     /// Per-hop latency attribution over the path's finished traces.
@@ -3452,38 +3208,18 @@ mod tests {
     fn busy_paths_refuse_detach_until_drained() {
         let mut f = fabric(WindowSpec::reference(256 << 20));
         let p = f.attach_path(&PathSpec::reference(256 << 20, 1)).unwrap();
+        let links: Vec<usize> = f.path_link_stats(p).unwrap().iter().map(|s| s.link).collect();
+        assert_eq!(links, vec![0]);
         f.issue_read(p).unwrap();
         assert!(matches!(f.detach_path(p), Err(FabricError::PathBusy(_))));
         f.drain().unwrap();
         f.detach_path(p).unwrap();
         assert!(f.path_ids().is_empty());
-        // Components are pruned back to the shared compute-side stages.
-        assert_eq!(f.components().len(), 3);
-        assert_eq!(f.connections().len(), 2);
-    }
-
-    #[test]
-    fn wiring_graph_is_unit_typed_and_single_driver() {
-        let mut f = fabric(WindowSpec::rack_default());
-        let p = f
-            .attach_path(
-                &PathSpec::new(NetworkId(1), Pasid(1), 0x7000_0000_0000, 512 << 20)
-                    .bonded_channels(2),
-            )
-            .unwrap();
-        // 2 core connections + 7 per direct link (8 when switched).
-        assert_eq!(f.connections().len(), 2 + 7 * 2);
-        let mut seen = std::collections::BTreeSet::new();
-        for c in f.connections() {
-            assert!(seen.insert(c.to.clone()), "double-driven port {}", c.to);
+        // The detached path's link slots are tombstoned.
+        for l in links {
+            assert_eq!(f.link_stats(l), None, "link {l} outlived its path");
         }
-        let links: Vec<usize> = f
-            .path_link_stats(p)
-            .unwrap()
-            .iter()
-            .map(|s| s.link)
-            .collect();
-        assert_eq!(links, vec![0, 1]);
+        assert!(matches!(f.path_link_stats(p), Err(FabricError::UnknownPath(_))));
     }
 
     #[test]
@@ -3758,11 +3494,9 @@ mod tests {
         let sw = f.switch_stage().unwrap().switch();
         assert!(sw.is_port_failed(port));
         assert!(sw.reconfigurations() >= 2, "tear-down plus re-program");
-        // The rewired graph still types and has no double-driven port.
-        let mut seen = std::collections::BTreeSet::new();
-        for c in f.connections() {
-            assert!(seen.insert(c.to.clone()), "double-driven port {}", c.to);
-        }
+        // The link rides exactly one fresh circuit, clear of the failed port.
+        assert_eq!(sw.peer(port), None);
+        assert_eq!(sw.circuit_count(), 1);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! The composable flit-level fabric.
 //!
-//! The paper's Fig. 2 pipeline decomposed into typed components with
-//! explicit ports ([`stage`], [`port`]), an engine that executes wired
-//! components over one shared `simkit` event queue ([`engine`]), and a
-//! builder that assembles arbitrary topologies ([`builder`]):
-//! point-to-point (the reference shape, event-for-event equivalent to
-//! the pre-fabric monolithic datapath), one compute × N donors with
-//! per-network-id fan-out, and a circuit-switched rack.
+//! The paper's Fig. 2 pipeline as plain stage structs ([`stage`]), an
+//! engine that owns them and executes the datapath over one shared
+//! `simkit` event queue ([`engine`]), and a builder that assembles
+//! arbitrary topologies ([`builder`]): point-to-point (the reference
+//! shape, event-for-event equivalent to the pre-fabric monolithic
+//! datapath), one compute × N donors with per-network-id fan-out, and a
+//! circuit-switched rack. The wiring lives in the engine's own state —
+//! link slots, routes and switch circuits — not in a separate graph.
 //!
 //! Paths are dynamic: [`Fabric::attach_path`] instantiates the
 //! flit-level plumbing for one lease (section-table entries, router
@@ -19,7 +20,6 @@ pub mod chaos;
 pub mod engine;
 pub mod obs;
 pub mod partition;
-pub mod port;
 pub mod stage;
 pub mod trace;
 
@@ -32,13 +32,10 @@ pub use obs::{
     SloBreachKind, SloSpec,
 };
 pub use trace::{
-    chrome_trace, chrome_trace_json, BreakdownRow, FlitTrace, HopKind, LatencyBreakdown,
-    SerdesSite, Span, StackSite, TraceId, WireDir,
-};
-pub use port::{
-    ComponentId, Connection, PortDir, PortRef, PortSpec, PortUnit, WiringError,
+    chrome_trace, chrome_trace_json, BreakdownRow, ComponentId, FlitTrace, HopKind,
+    LatencyBreakdown, SerdesSite, Span, StackSite, TraceId, WireDir,
 };
 pub use stage::{
-    C1MasterDram, FabricComponent, LlcPair, M1Capture, RmmuTranslate, RouterStage, StageKind,
-    SwitchStage, WindowSpec, WireChannel,
+    C1MasterDram, LlcPair, M1Capture, RmmuTranslate, RouterStage, SwitchStage, WindowSpec,
+    WireChannel,
 };

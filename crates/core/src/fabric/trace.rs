@@ -7,7 +7,7 @@
 //! tracing-enabled [`Fabric`](crate::fabric::Fabric) is tagged with a
 //! [`TraceId`] at M1 capture; the engine records a checkpoint at every
 //! event boundary the load crosses (LLC offer, wire transmit, delivery,
-//! memory completion, retire) and [`FlitTracer::finish`] subdivides the
+//! memory completion, retire) and `FlitTracer::finish` subdivides the
 //! fixed-latency intervals between checkpoints analytically into
 //! [`Span`]s — one per [`HopKind`]. Because the spans are constructed as
 //! *contiguous* segments of the `[issued, retired]` interval, their
@@ -29,7 +29,17 @@ use serde::Value;
 use simkit::time::SimTime;
 
 use crate::fabric::engine::PathId;
-use crate::fabric::port::ComponentId;
+
+/// Identifier of one pipeline stage instance inside one fabric — the
+/// component a [`Span`] attributes its time to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct ComponentId(pub u32);
+
+impl fmt::Display for ComponentId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "c{}", self.0)
+    }
+}
 
 /// Identifier a traced flit carries end to end (the load's tag).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -378,8 +388,8 @@ impl Cursor {
     }
 }
 
-/// Default cap on retained finished traces (a closed-loop run with
-/// tracing left on would otherwise grow without bound).
+/// Cap on retained finished traces (a closed-loop run with tracing
+/// left on would otherwise grow without bound).
 const DEFAULT_TRACE_CAP: usize = 16_384;
 
 /// The engine-side tracer: checkpoints per in-flight tag, finished
@@ -402,18 +412,9 @@ pub(crate) struct FlitTracer {
     /// Live (Some) records in the window.
     live: usize,
     finished: Vec<FlitTrace>,
-    cap: usize,
-    dropped: u64,
 }
 
 impl FlitTracer {
-    pub(crate) fn new() -> Self {
-        FlitTracer {
-            cap: DEFAULT_TRACE_CAP,
-            ..FlitTracer::default()
-        }
-    }
-
     /// The live record for `tag`, if any (O(1) window index).
     fn slot(&self, tag: u64) -> Option<&Pending> {
         let idx = tag.checked_sub(self.base)?;
@@ -485,19 +486,10 @@ impl FlitTracer {
         self.enabled && self.live > 0
     }
 
-    pub(crate) fn set_capacity(&mut self, cap: usize) {
-        self.cap = cap;
-    }
-
-    /// Traces finished but not yet retained because the cap was hit.
-    pub(crate) fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Opens checkpoints for a freshly issued tag. Once the retained
-    /// cap is full new tags are counted as dropped instead of traced,
-    /// so a long closed-loop run quiesces: `live` drains, [`Self::active`]
-    /// goes false, and every downstream hook becomes a single branch.
+    /// cap is full new tags are no longer traced, so a long closed-loop
+    /// run quiesces: `live` drains, [`Self::active`] goes false, and
+    /// every downstream hook becomes a single branch.
     pub(crate) fn begin(
         &mut self,
         tag: u64,
@@ -509,8 +501,7 @@ impl FlitTracer {
         if !self.enabled {
             return;
         }
-        if self.finished.len() >= self.cap {
-            self.dropped += 1;
+        if self.finished.len() >= DEFAULT_TRACE_CAP {
             return;
         }
         self.insert(
@@ -580,8 +571,7 @@ impl FlitTracer {
         ctx: &HopContext,
     ) -> Option<usize> {
         let p = self.remove(tag)?;
-        if self.finished.len() >= self.cap {
-            self.dropped += 1;
+        if self.finished.len() >= DEFAULT_TRACE_CAP {
             return None;
         }
         let (fwd_tx, fwd_deliver, mem_done, rev_tx, rev_deliver) = (
@@ -960,7 +950,7 @@ mod tests {
     /// checkpoint times and checks the exact-sum property.
     #[test]
     fn spans_sum_exactly_to_rtt() {
-        let mut tr = FlitTracer::new();
+        let mut tr = FlitTracer::default();
         tr.set_enabled(true);
         let edge = SimTime::from_ns(75 + 101);
         let issued = SimTime::from_ns(10);
@@ -1001,7 +991,7 @@ mod tests {
 
     #[test]
     fn disabled_tracer_records_nothing() {
-        let mut tr = FlitTracer::new();
+        let mut tr = FlitTracer::default();
         tr.begin(1, 0, 0, SimTime::ZERO, SimTime::from_ns(176));
         tr.wire_tx(1, WireDir::Forward, SimTime::from_ns(200));
         assert!(tr.finish(1, SimTime::from_ns(1000), &ctx()).is_none());
@@ -1011,7 +1001,7 @@ mod tests {
 
     #[test]
     fn partial_checkpoints_discard_the_trace() {
-        let mut tr = FlitTracer::new();
+        let mut tr = FlitTracer::default();
         tr.set_enabled(true);
         tr.begin(1, 0, 0, SimTime::ZERO, SimTime::from_ns(176));
         // No wire/delivery checkpoints: finish must refuse to fabricate.
@@ -1021,22 +1011,16 @@ mod tests {
 
     #[test]
     fn capacity_cap_drops_excess_traces() {
-        let mut tr = FlitTracer::new();
+        let mut tr = FlitTracer::default();
         tr.set_enabled(true);
-        tr.set_capacity(1);
-        for tag in 0..3u64 {
-            let issued = SimTime::from_ns(tag * 10_000);
-            let edge = SimTime::from_ns(176);
-            tr.begin(tag, 0, 0, issued, issued + edge);
-            tr.wire_tx(tag, WireDir::Forward, issued + SimTime::from_ns(200));
-            tr.delivered(tag, WireDir::Forward, issued + SimTime::from_ns(330));
-            tr.memory_done(tag, issued + SimTime::from_ns(700));
-            tr.wire_tx(tag, WireDir::Reverse, issued + SimTime::from_ns(750));
-            tr.delivered(tag, WireDir::Reverse, issued + SimTime::from_ns(880));
-            tr.finish(tag, issued + SimTime::from_ns(1056), &ctx());
+        let cap = DEFAULT_TRACE_CAP as u64;
+        for tag in 0..cap + 2 {
+            drive(&mut tr, tag, SimTime::from_ns(tag * 10_000));
         }
-        assert_eq!(tr.traces().len(), 1);
-        assert_eq!(tr.dropped(), 2);
+        assert_eq!(tr.traces().len(), DEFAULT_TRACE_CAP);
+        // Past the cap the tracer quiesces: new tags open no checkpoints.
+        tr.begin(cap + 2, 0, 0, SimTime::ZERO, SimTime::from_ns(176));
+        assert!(!tr.active());
     }
 
     /// Drives a full synthetic round trip for `tag` starting at `issued`.
@@ -1053,7 +1037,7 @@ mod tests {
 
     #[test]
     fn checkpoint_window_recycles_slots() {
-        let mut tr = FlitTracer::new();
+        let mut tr = FlitTracer::default();
         tr.set_enabled(true);
         // Sequential loads: each finish recycles its slot, so the
         // window never grows past the in-flight count (1).
@@ -1064,7 +1048,7 @@ mod tests {
         assert_eq!(tr.traces().len(), 64);
         // A late-enabled tracer re-bases to the first live tag instead
         // of padding from zero.
-        let mut late = FlitTracer::new();
+        let mut late = FlitTracer::default();
         late.set_enabled(true);
         drive(&mut late, 1_000_000, SimTime::from_ns(5));
         assert!(late.window_slots() <= 1, "window padded from tag zero");
@@ -1073,7 +1057,7 @@ mod tests {
 
     #[test]
     fn out_of_order_finish_keeps_checkpoints_intact() {
-        let mut tr = FlitTracer::new();
+        let mut tr = FlitTracer::default();
         tr.set_enabled(true);
         let edge = SimTime::from_ns(176);
         // Open three overlapping loads, retire the middle one first.
@@ -1100,7 +1084,7 @@ mod tests {
 
     #[test]
     fn breakdown_aggregates_and_exports() {
-        let mut tr = FlitTracer::new();
+        let mut tr = FlitTracer::default();
         tr.set_enabled(true);
         let edge = SimTime::from_ns(176);
         for tag in 0..2u64 {

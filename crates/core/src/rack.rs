@@ -270,6 +270,36 @@ struct SloMonitor {
     seen_faults: u64,
 }
 
+impl SloMonitor {
+    /// Judges lease `id`'s contract over the window since the last
+    /// judgement — the delta of `path`'s completion histogram and fault
+    /// count on `fabric` — journals the breaches and advances the
+    /// window.
+    fn judge(
+        &mut self,
+        journal: &mut Journal,
+        fabric: &Fabric,
+        id: LeaseId,
+        path: PathId,
+    ) -> Result<Vec<SloBreach>, RackError> {
+        let cumulative = fabric.completions(path)?.clone();
+        let faults = fabric.faults().iter().filter(|f| f.path == path).count() as u64;
+        let window = cumulative.subtract(&self.seen);
+        let faulted = faults.saturating_sub(self.seen_faults);
+        let breaches = self.spec.evaluate(id.0, fabric.now(), &window, faulted);
+        self.seen = cumulative;
+        self.seen_faults = faults;
+        for b in &breaches {
+            journal.record(
+                JournalRecord::new(b.at, JournalKind::SloBreach, b.kind.to_string())
+                    .lease(id.0)
+                    .path(path),
+            );
+        }
+        Ok(breaches)
+    }
+}
+
 /// A built rack.
 #[derive(Debug)]
 pub struct Rack {
@@ -511,23 +541,8 @@ impl Rack {
             let Some(fabric) = self.fabrics.get(&host) else {
                 continue;
             };
-            let cumulative = fabric.completions(path)?.clone();
-            let faults = fabric.faults().iter().filter(|f| f.path == path).count() as u64;
-            let at = fabric.now();
             let monitor = self.slos.get_mut(&id).expect("listed above");
-            let window = cumulative.subtract(&monitor.seen);
-            let faulted = faults.saturating_sub(monitor.seen_faults);
-            let breaches = monitor.spec.evaluate(id.0, at, &window, faulted);
-            monitor.seen = cumulative;
-            monitor.seen_faults = faults;
-            for b in &breaches {
-                self.journal.record(
-                    JournalRecord::new(b.at, JournalKind::SloBreach, b.kind.to_string())
-                        .lease(id.0)
-                        .path(path),
-                );
-            }
-            out.extend(breaches);
+            out.extend(monitor.judge(&mut self.journal, fabric, id, path)?);
         }
         Ok(out)
     }
@@ -538,11 +553,6 @@ impl Rack {
     /// journal — see [`Rack::set_observability`].
     pub fn journal(&self) -> &Journal {
         &self.journal
-    }
-
-    /// Drains the rack-level journal.
-    pub fn take_journal(&mut self) -> Journal {
-        std::mem::take(&mut self.journal)
     }
 
     /// Enables or disables causal journals on every borrower fabric,
@@ -696,20 +706,7 @@ impl Rack {
                 // launder it. The breaches surface from the next
                 // `evaluate_slos` call.
                 if let Some(monitor) = self.slos.get_mut(&id) {
-                    let cumulative = fabric.completions(path)?.clone();
-                    let faults =
-                        fabric.faults().iter().filter(|f| f.path == path).count() as u64;
-                    let window = cumulative.subtract(&monitor.seen);
-                    let faulted = faults.saturating_sub(monitor.seen_faults);
-                    let breaches =
-                        monitor.spec.evaluate(id.0, fabric.now(), &window, faulted);
-                    for b in &breaches {
-                        self.journal.record(
-                            JournalRecord::new(b.at, JournalKind::SloBreach, b.kind.to_string())
-                                .lease(id.0)
-                                .path(path),
-                        );
-                    }
+                    let breaches = monitor.judge(&mut self.journal, fabric, id, path)?;
                     self.pending_breaches.extend(breaches);
                 }
                 fabric.detach_path(path)?;

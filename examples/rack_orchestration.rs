@@ -40,14 +40,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // The borrower's fabric now carries both paths as typed components.
+    // The borrower's fabric now carries both paths, each on its own links.
     let fabric = rack.fabric("node-a").expect("leases instantiated a fabric");
-    println!(
-        "node-a fabric: {} components, {} checked connections, live paths {:?}",
-        fabric.components().len(),
-        fabric.connections().len(),
-        fabric.path_ids(),
-    );
+    for path in fabric.path_ids() {
+        let links: Vec<usize> = fabric.path_link_stats(path)?.iter().map(|s| s.link).collect();
+        println!("node-a fabric: {path} live on links {links:?}");
+    }
 
     // Leased memory is exercised at flit granularity.
     let rtt = rack.measure_lease_rtt(l1.id())?;

@@ -2,7 +2,7 @@
 //! analytic calibration, and the endpoint pipeline's legality checks.
 
 use thymesisflow::core::endpoint::{ComputeEndpoint, EndpointError, MemoryStealingEndpoint};
-use thymesisflow::core::fabric::{Fabric, FabricBuilder, PathId, StageKind};
+use thymesisflow::core::fabric::{Fabric, FabricBuilder, PathId};
 use thymesisflow::core::params::DatapathParams;
 use thymesisflow::opencapi::pasid::{Pasid, Region};
 use thymesisflow::opencapi::transaction::MemRequest;
@@ -106,21 +106,18 @@ fn bonding_is_capped_by_the_c1_engine() {
 #[test]
 fn two_channel_topology_has_an_llc_pair_per_direction_and_channel() {
     let (fabric, path) = p2p(DatapathParams::prototype(), 2);
-    let kinds = fabric.components();
-    let pairs = kinds
-        .iter()
-        .filter(|(_, k)| *k == StageKind::LlcPair)
-        .count();
-    // Two channels: an up and a down LLC pair each.
-    assert_eq!(pairs, 4);
-    assert!(kinds.iter().all(|(_, k)| *k != StageKind::CircuitSwitch));
-    let links: Vec<usize> = fabric
-        .path_link_stats(path)
-        .expect("live path")
-        .iter()
-        .map(|s| s.link)
-        .collect();
-    assert_eq!(links, vec![0, 1]);
+    let stats = fabric.path_link_stats(path).expect("live path");
+    let links: Vec<usize> = stats.iter().map(|s| s.link).collect();
+    assert_eq!(links, vec![0, 1], "two channels, one link slot each");
+    assert_eq!(fabric.path_donor(path).expect("live path"), 0);
+    assert!(fabric.switch_stage().is_none(), "point-to-point has no switch");
+    // Each link carries an up and a down LLC pair, each with its own
+    // full credit pool.
+    let full = stats[0].up_credits;
+    assert!(full > 0);
+    for s in &stats {
+        assert_eq!((s.up_credits, s.down_credits), (full, full), "link {}", s.link);
+    }
 }
 
 #[test]
