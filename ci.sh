@@ -66,6 +66,9 @@ jq -e '.hottest_link.frames > 0 and (.breaches | map(select(.kind == "availabili
 echo "==> fleet scenario harness (control zero-breach, chaos calibrated breach, 1-vs-4 worker identity)"
 cargo test -q -p workloads --test fleet_scenario
 
+echo "==> allocation budget (steady-state datapath: <= 0.5 allocations per event, deterministic count)"
+cargo test -q -p thymesisflow-core --test alloc_budget
+
 echo "==> chaos scenario smoke (link flap + donor crash, exactly-once asserts)"
 cargo test -q -p thymesisflow-core --test chaos_sweep
 cargo test -q -p llc --test prop_loss_burst

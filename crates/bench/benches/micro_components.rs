@@ -38,7 +38,9 @@ fn reproduce() {
         "frame_assemble" => {
             let msgs: Vec<(u32, usize)> =
                 (0..64).map(|i| (i, 1 + (i as usize % 5))).collect();
-            assemble(msgs, 8, FrameId(0), 0).0.len() as u64
+            let mut frames = Vec::new();
+            assemble(msgs, 8, FrameId(0), 0, &mut Vec::new(), &mut frames);
+            frames.len() as u64
         }
         "crc32" => {
             let data: Vec<u8> = (0..256).map(|_| (rng.range(0, 256)) as u8).collect();
@@ -73,9 +75,11 @@ fn criterion_benches(c: &mut Criterion) {
     });
 
     c.bench_function("micro/llc_frame_assemble_64", |b| {
+        let (mut scratch, mut frames) = (Vec::new(), Vec::new());
         b.iter(|| {
-            let msgs: Vec<(u32, usize)> = (0..64).map(|i| (i, 1 + (i as usize % 5))).collect();
-            std::hint::black_box(assemble(msgs, 8, FrameId(0), 0))
+            frames.clear();
+            let msgs = (0..64u32).map(|i| (i, 1 + (i as usize % 5)));
+            std::hint::black_box(assemble(msgs, 8, FrameId(0), 0, &mut scratch, &mut frames))
         })
     });
 

@@ -22,7 +22,7 @@ use std::fmt;
 
 use llc::error::LlcError;
 use llc::frame::{Entry, Frame};
-use llc::LlcConfig;
+use llc::{LlcConfig, RxAction};
 use netsim::channel::{Channel, ChannelBuilder};
 use netsim::fault::FaultSpec;
 use netsim::switch::{CircuitSwitch, PortId, SwitchError};
@@ -673,6 +673,14 @@ pub struct Fabric {
     /// The causal event journal, when enabled ([`Fabric::set_journal`]).
     /// `None` records nothing; recording is pure observation either way.
     journal: Option<Journal>,
+    /// Per-event scratch the step loop reuses so steady-state events
+    /// allocate nothing of their own (DESIGN.md §8): the links an
+    /// `Offer`/`MemoryDone` batch touched, a data-`Arrive` burst and its
+    /// merged Rx action, and the retiring loops' completion buffer.
+    touched: Vec<usize>,
+    burst: Vec<(Frame<FabricMsg>, bool)>,
+    rx_action: RxAction<FabricMsg>,
+    retired: Vec<Completion>,
 }
 
 impl fmt::Debug for Fabric {
@@ -723,6 +731,10 @@ impl Fabric {
             topo: None,
             route_reroutes: 0,
             journal: None,
+            touched: Vec::new(),
+            burst: Vec::new(),
+            rx_action: RxAction::default(),
+            retired: Vec::new(),
         })
     }
 
@@ -1651,6 +1663,17 @@ impl Fabric {
         }
     }
 
+    /// Runs adaptive batching on every link an offer batch touched,
+    /// then keeps the emptied list for the next batch.
+    fn flush_touched(&mut self, mut touched: Vec<usize>, dir: Dir) -> Result<(), FabricError> {
+        for &link in &touched {
+            self.offer_or_flush(link, dir)?;
+        }
+        touched.clear();
+        self.touched = touched;
+        Ok(())
+    }
+
     /// Processes one event — plus every *coincident* event of the same
     /// kind, batched into a single pass (offer bursts from bonded issue
     /// loops, completion bursts from a drained frame then cost one
@@ -1663,13 +1686,39 @@ impl Fabric {
     /// Surfaces LLC protocol violations and misrouted messages — all
     /// simulator bugs, never load-dependent.
     pub fn step(&mut self) -> Result<Option<Vec<Completion>>, FabricError> {
-        let Some((_, ev)) = self.queue.pop() else {
-            return Ok(None);
-        };
         let mut done = Vec::new();
+        Ok(self.step_into(&mut done)?.then_some(done))
+    }
+
+    /// [`Fabric::step`] on the fabric's reused completion buffer, for
+    /// the retiring loops: they hand the buffer back with
+    /// [`Fabric::recycle_retired`] once read, so a steady-state step
+    /// allocates no completion vector.
+    pub(crate) fn step_retiring(&mut self) -> Result<Option<Vec<Completion>>, FabricError> {
+        let mut done = std::mem::take(&mut self.retired);
+        done.clear();
+        if self.step_into(&mut done)? {
+            Ok(Some(done))
+        } else {
+            self.retired = done;
+            Ok(None)
+        }
+    }
+
+    /// Returns a buffer taken by [`Fabric::step_retiring`].
+    pub(crate) fn recycle_retired(&mut self, done: Vec<Completion>) {
+        self.retired = done;
+    }
+
+    /// One step, appending its retirements to `done`; `false` once the
+    /// queue is empty.
+    fn step_into(&mut self, done: &mut Vec<Completion>) -> Result<bool, FabricError> {
+        let Some((_, ev)) = self.queue.pop() else {
+            return Ok(false);
+        };
         match ev {
             Ev::Offer { link, msg } => {
-                let mut touched = Vec::with_capacity(4);
+                let mut touched = std::mem::take(&mut self.touched);
                 if self.offer_up(link, msg) {
                     touched.push(link);
                 }
@@ -1681,9 +1730,7 @@ impl Fabric {
                         touched.push(link);
                     }
                 }
-                for link in touched {
-                    self.offer_or_flush(link, Dir::ToMemory)?;
-                }
+                self.flush_touched(touched, Dir::ToMemory)?;
             }
             Ev::Arrive {
                 link,
@@ -1712,7 +1759,8 @@ impl Fabric {
                     let now = self.queue.now();
                     // Batch coincident data arrivals on the same link and
                     // direction through the Rx's bounded ingress.
-                    let mut burst: Vec<(Frame<FabricMsg>, bool)> = vec![(data, intact)];
+                    let mut burst = std::mem::take(&mut self.burst);
+                    burst.push((data, intact));
                     while let Some(Ev::Arrive { frame, intact, .. }) =
                         self.queue.pop_coincident(|e| {
                             matches!(
@@ -1728,30 +1776,37 @@ impl Fabric {
                     {
                         burst.push((frame, intact));
                     }
-                    let action = match self.links.get_mut(link).and_then(Option::as_mut) {
+                    let mut action = std::mem::take(&mut self.rx_action);
+                    action.clear();
+                    let live = match self.links.get_mut(link).and_then(Option::as_mut) {
                         Some(slot) => {
                             let rx = match dir {
                                 Dir::ToMemory => &mut slot.up.rx,
                                 Dir::ToCompute => &mut slot.down.rx,
                             };
                             rx.enqueue_arrivals(&mut burst)?;
-                            Some(rx.drain_ingress()?)
+                            rx.drain_ingress(&mut action)?;
+                            true
                         }
-                        None => None,
+                        None => false,
                     };
-                    if let Some(action) = action {
-                        for c in action.replies {
+                    // A tombstoned link's burst is dropped here.
+                    burst.clear();
+                    self.burst = burst;
+                    if live {
+                        for c in action.replies.drain(..) {
                             self.transmit(link, dir, Frame::Control(c), now);
                         }
-                        for msg in action.delivered {
+                        for msg in action.delivered.drain(..) {
                             self.dispatch_delivery(link, dir, msg, now)?;
                         }
                         self.pump(link, dir)?;
                     }
+                    self.rx_action = action;
                 }
             },
             Ev::MemoryDone { link, resp } => {
-                let mut touched = Vec::with_capacity(4);
+                let mut touched = std::mem::take(&mut self.touched);
                 if self.offer_down(link, resp) {
                     touched.push(link);
                 }
@@ -1763,9 +1818,7 @@ impl Fabric {
                         touched.push(link);
                     }
                 }
-                for link in touched {
-                    self.offer_or_flush(link, Dir::ToCompute)?;
-                }
+                self.flush_touched(touched, Dir::ToCompute)?;
             }
             Ev::Flush { link, dir } => {
                 let live = match self.links.get_mut(link).and_then(Option::as_mut) {
@@ -1785,12 +1838,12 @@ impl Fabric {
                 }
             }
             Ev::Complete { tag } => {
-                self.retire(tag, &mut done)?;
+                self.retire(tag, done)?;
                 while let Some(Ev::Complete { tag }) = self
                     .queue
                     .pop_coincident(|e| matches!(e, Ev::Complete { .. }))
                 {
-                    self.retire(tag, &mut done)?;
+                    self.retire(tag, done)?;
                 }
             }
             Ev::Inject { path } => {
@@ -1822,7 +1875,7 @@ impl Fabric {
                 seg,
             } => self.hop_credit(link, gen, chain_dir, seg),
         }
-        Ok(Some(done))
+        Ok(true)
     }
 
     /// Runs the fabric until the event queue is empty.
@@ -1831,7 +1884,9 @@ impl Fabric {
     ///
     /// Propagates [`Fabric::step`] failures.
     pub fn drain(&mut self) -> Result<(), FabricError> {
-        while self.step()?.is_some() {}
+        while let Some(done) = self.step_retiring()? {
+            self.recycle_retired(done);
+        }
         Ok(())
     }
 
@@ -2626,9 +2681,11 @@ impl Fabric {
     /// completing (a simulator bug on a lossless path).
     pub fn measure_load_latency(&mut self, path: PathId) -> Result<SimTime, FabricError> {
         let tag = self.issue_read(path)?;
-        while let Some(done) = self.step()? {
-            if let Some(c) = done.iter().find(|c| c.tag == tag) {
-                return Ok(c.latency);
+        while let Some(done) = self.step_retiring()? {
+            let probe = done.iter().find(|c| c.tag == tag).map(|c| c.latency);
+            self.recycle_retired(done);
+            if let Some(latency) = probe {
+                return Ok(latency);
             }
         }
         Err(FabricError::Protocol(
@@ -2663,15 +2720,17 @@ impl Fabric {
                 self.issue_read(l.path)?;
             }
         }
-        while let Some(done) = self.step()? {
+        while let Some(done) = self.step_retiring()? {
             if self.queue.now() >= deadline {
+                self.recycle_retired(done);
                 break;
             }
-            for c in done {
+            for c in &done {
                 if loads.iter().any(|l| l.path == c.path) {
                     self.issue_read(c.path)?;
                 }
             }
+            self.recycle_retired(done);
         }
         let elapsed = self.queue.now().min(deadline) - start_now;
         let mut rates = Vec::with_capacity(loads.len());

@@ -212,11 +212,12 @@ impl Partition for FabricShard {
             .next_event_time()
             .is_some_and(|t| t < bound)
         {
-            if let Some(done) = self.fabric.step()? {
+            if let Some(done) = self.fabric.step_retiring()? {
                 let now = self.fabric.now();
-                for c in done {
-                    self.absorb_completion(now, &c, outbox);
+                for c in &done {
+                    self.absorb_completion(now, c, outbox);
                 }
+                self.fabric.recycle_retired(done);
             }
         }
         Ok(())

@@ -97,11 +97,6 @@ impl M1Capture {
     pub fn accept(&mut self, req: &MemRequest) -> Result<DeviceAddress, M1Error> {
         self.m1.accept(req)
     }
-
-    /// The window base real address.
-    pub fn window_base(&self) -> u64 {
-        self.m1.window_base()
-    }
 }
 
 /// RMMU translate: the section table.
@@ -229,11 +224,6 @@ impl WireChannel {
     pub(crate) fn new(chan: Channel) -> Self {
         WireChannel { chan }
     }
-
-    /// The underlying channel (stats).
-    pub fn channel(&self) -> &Channel {
-        &self.chan
-    }
 }
 
 /// The circuit-switching layer as a stage; each switched link slot
@@ -291,10 +281,5 @@ impl C1MasterDram {
         routed: &RoutedRequest,
     ) -> Result<SimTime, EndpointError> {
         self.endpoint.serve(now, routed, self.pasid)
-    }
-
-    /// The underlying endpoint (C1 stats).
-    pub fn endpoint(&self) -> &MemoryStealingEndpoint {
-        &self.endpoint
     }
 }

@@ -19,7 +19,7 @@ use simkit::queue::BoundedFifo;
 use crate::credit::CreditCounter;
 use crate::error::LlcError;
 use crate::flit::FlitSized;
-use crate::frame::{assemble, Control, Frame, FrameId};
+use crate::frame::{assemble, Control, Entry, Frame, FrameId};
 use crate::replay::ReplayBuffer;
 use crate::LlcConfig;
 
@@ -33,6 +33,9 @@ pub struct LlcTx<T> {
     config: LlcConfig,
     next_id: FrameId,
     staging: Vec<T>,
+    /// Reused by [`assemble`] to collect each frame's entries before
+    /// they are copied into the frame's one payload allocation.
+    framing: Vec<Entry<T>>,
     ready: VecDeque<Frame<T>>,
     retransmit: VecDeque<Frame<T>>,
     credits: CreditCounter,
@@ -61,6 +64,7 @@ impl<T: FlitSized + Clone> LlcTx<T> {
         LlcTx {
             next_id: FrameId(config.initial_frame_id),
             staging: Vec::new(),
+            framing: Vec::new(),
             ready: VecDeque::new(),
             retransmit: VecDeque::new(),
             credits: CreditCounter::new(config.rx_queue_credits()),
@@ -95,26 +99,30 @@ impl<T: FlitSized + Clone> LlcTx<T> {
     }
 
     /// Assembles every staged transaction into frames, padding the final
-    /// partial frame with nops "for immediate transmission".
+    /// partial frame with nops "for immediate transmission". The staging
+    /// and framing buffers keep their capacity, so the only allocation
+    /// is each frame's payload.
     pub fn seal(&mut self) {
         if self.staging.is_empty() {
             return;
         }
         let piggyback = self.take_credit_returns();
-        let txns = std::mem::take(&mut self.staging);
-        let (frames, next) = assemble(txns, self.config.frame_flits, self.next_id, 0);
-        self.next_id = next;
-        let mut frames = frames;
+        let first = self.ready.len();
+        self.next_id = assemble(
+            self.staging.drain(..),
+            self.config.frame_flits,
+            self.next_id,
+            0,
+            &mut self.framing,
+            &mut self.ready,
+        );
         // Piggy-back accumulated credit returns on the first frame's header.
-        if piggyback > 0 {
-            if let Some(Frame::Data {
-                piggyback_credits, ..
-            }) = frames.first_mut()
-            {
-                *piggyback_credits = piggyback;
-            }
+        if let Some(Frame::Data {
+            piggyback_credits, ..
+        }) = self.ready.get_mut(first)
+        {
+            *piggyback_credits = piggyback;
         }
-        self.ready.extend(frames);
         #[cfg(feature = "sanitize")]
         self.assert_flit_conservation();
     }
@@ -305,7 +313,7 @@ impl<T: FlitSized + Clone> LlcTx<T> {
     }
 }
 
-/// What the receiver wants done after processing one arriving frame.
+/// What the receiver wants done after processing arriving frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RxAction<T> {
     /// Transactions delivered in order to the endpoint attachment.
@@ -323,6 +331,15 @@ impl<T> Default for RxAction<T> {
             replies: Vec::new(),
             piggyback_credits: 0,
         }
+    }
+}
+
+impl<T> RxAction<T> {
+    /// Empties the action for reuse, keeping its buffers' capacity.
+    pub fn clear(&mut self) {
+        self.delivered.clear();
+        self.replies.clear();
+        self.piggyback_credits = 0;
     }
 }
 
@@ -382,7 +399,22 @@ impl<T: FlitSized + Clone> LlcRx<T> {
     /// the receiver — the link layer must route those to the Tx.
     pub fn on_frame(&mut self, frame: Frame<T>, intact: bool) -> Result<RxAction<T>, LlcError> {
         let mut action = RxAction::default();
-        let (id, piggyback) = match &frame {
+        self.accept(&frame, intact, &mut action)?;
+        Ok(action)
+    }
+
+    /// The per-frame state machine behind [`Self::on_frame`] and
+    /// [`Self::drain_ingress`]: appends the frame's deliveries and
+    /// replies to `action` and adds its piggy-backed credits. In-order
+    /// delivery copies the transactions out of the payload, which the
+    /// peer's replay buffer may still share.
+    fn accept(
+        &mut self,
+        frame: &Frame<T>,
+        intact: bool,
+        action: &mut RxAction<T>,
+    ) -> Result<(), LlcError> {
+        let (id, piggyback) = match frame {
             Frame::Data {
                 id,
                 piggyback_credits,
@@ -394,20 +426,20 @@ impl<T: FlitSized + Clone> LlcRx<T> {
                 return Err(LlcError::ControlFrameInDataPath);
             }
         };
-        action.piggyback_credits = piggyback;
+        action.piggyback_credits += piggyback;
         if !intact {
             // Header cannot be trusted; ask for in-order replay.
             self.corrupt += 1;
             self.discards_since_request += 1;
             self.request_replay(&mut action.replies);
-            return Ok(action);
+            return Ok(());
         }
         if id.seq_lt(self.expected) {
             // Duplicate from an over-eager replay: discard, but re-ack so
             // the transmitter can advance its buffer.
             self.duplicates += 1;
             action.replies.push(Control::Ack(self.expected.prev()));
-            return Ok(action);
+            return Ok(());
         }
         if id.seq_gt(self.expected) {
             // Gap: an earlier frame was lost. The design replays strictly
@@ -415,7 +447,7 @@ impl<T: FlitSized + Clone> LlcRx<T> {
             self.gaps += 1;
             self.discards_since_request += 1;
             self.request_replay(&mut action.replies);
-            return Ok(action);
+            return Ok(());
         }
         // In-order delivery.
         self.expected = self.expected.next();
@@ -423,13 +455,13 @@ impl<T: FlitSized + Clone> LlcRx<T> {
         self.discards_since_request = 0;
         self.unanswered_requests = 0;
         self.frames_delivered += 1;
-        action.delivered = frame.into_txns();
+        action.delivered.extend(frame.txns().cloned());
         // Cumulative acks coalesce: every Nth frame carries the ack for
         // everything before it.
         if self.frames_delivered % self.ack_every == 0 {
             action.replies.push(Control::Ack(id));
         }
-        Ok(action)
+        Ok(())
     }
 
     /// Queues a burst of arrivals (frame + CRC verdict) into the bounded
@@ -454,23 +486,20 @@ impl<T: FlitSized + Clone> LlcRx<T> {
         }
     }
 
-    /// Drains every queued arrival through the state machine, merging
-    /// the per-frame actions into one (deliveries in order, replies in
-    /// order, piggy-backed credits summed).
+    /// Drains every queued arrival through the state machine, appending
+    /// to `action` (deliveries in order, replies in order, piggy-backed
+    /// credits summed). A caller that reuses one action across drains
+    /// [clears](RxAction::clear) it in between.
     ///
     /// # Errors
     ///
     /// Propagates the first [`LlcError`] from frame processing; frames
     /// queued after the failing one stay in the ingress.
-    pub fn drain_ingress(&mut self) -> Result<RxAction<T>, LlcError> {
-        let mut merged = RxAction::default();
+    pub fn drain_ingress(&mut self, action: &mut RxAction<T>) -> Result<(), LlcError> {
         while let Some((frame, intact)) = self.ingress.pop() {
-            let action = self.on_frame(frame, intact)?;
-            merged.delivered.extend(action.delivered);
-            merged.replies.extend(action.replies);
-            merged.piggyback_credits += action.piggyback_credits;
+            self.accept(&frame, intact, action)?;
         }
-        Ok(merged)
+        Ok(())
     }
 
     /// Occupancy statistics of the bounded ingress queue.
@@ -712,7 +741,8 @@ mod tests {
             drain_tx(&mut tx).into_iter().map(|f| (f, true)).collect();
         let queued = rx.enqueue_arrivals(&mut burst).unwrap();
         assert!(burst.is_empty());
-        let act = rx.drain_ingress().unwrap();
+        let mut act = RxAction::default();
+        rx.drain_ingress(&mut act).unwrap();
         assert_eq!(act.delivered, (0..24).map(|i| (i, 2)).collect::<Vec<_>>());
         assert!(rx.ingress_high_water() >= 1);
         assert!(queued >= 1);
@@ -720,6 +750,139 @@ mod tests {
             tx.on_control(c).unwrap();
         }
         assert!(tx.all_acked());
+    }
+
+    /// Per-frame reference for one burst: the merged result of feeding
+    /// each arrival through `on_frame`.
+    fn per_frame(rx: &mut LlcRx<Msg>, burst: &[(Frame<Msg>, bool)]) -> RxAction<Msg> {
+        let mut merged = RxAction::default();
+        for (frame, intact) in burst {
+            let act = rx.on_frame(frame.clone(), *intact).unwrap();
+            merged.delivered.extend(act.delivered);
+            merged.replies.extend(act.replies);
+            merged.piggyback_credits += act.piggyback_credits;
+        }
+        merged
+    }
+
+    #[test]
+    fn reused_drain_matches_per_frame_processing() {
+        let mut config = cfg();
+        config.ack_every = 2;
+        let mut tx = LlcTx::new(config.clone());
+        tx.stage_credit_return(3);
+        for i in 0..6 {
+            tx.offer((i, 7)); // one txn per frame
+        }
+        tx.seal();
+        let f = drain_tx(&mut tx);
+        assert_eq!(f.len(), 6);
+        // In order, a duplicate, a gap, a corrupt frame; then the
+        // replayed tail, another duplicate and a late in-order frame.
+        let bursts: [Vec<(Frame<Msg>, bool)>; 2] = [
+            vec![
+                (f[0].clone(), true),
+                (f[1].clone(), true),
+                (f[0].clone(), true),
+                (f[3].clone(), true),
+                (f[2].clone(), false),
+            ],
+            vec![
+                (f[2].clone(), true),
+                (f[3].clone(), true),
+                (f[1].clone(), true),
+                (f[4].clone(), true),
+                (f[5].clone(), false),
+            ],
+        ];
+        let mut reference = LlcRx::new(config.clone());
+        let mut rx = LlcRx::new(config);
+        let mut action = RxAction::default();
+        for burst in &bursts {
+            let want = per_frame(&mut reference, burst);
+            let mut queued = burst.clone();
+            rx.enqueue_arrivals(&mut queued).unwrap();
+            action.clear();
+            rx.drain_ingress(&mut action).unwrap();
+            assert_eq!(action, want);
+        }
+        assert_eq!(action.delivered, vec![(2, 7), (3, 7), (4, 7)]);
+        assert_eq!(
+            (rx.duplicates(), rx.gaps(), rx.corrupt(), rx.expected()),
+            (2, 1, 2, FrameId(5))
+        );
+        assert_eq!(
+            (rx.duplicates(), rx.gaps(), rx.corrupt(), rx.expected()),
+            (
+                reference.duplicates(),
+                reference.gaps(),
+                reference.corrupt(),
+                reference.expected()
+            )
+        );
+    }
+
+    #[test]
+    fn delivery_leaves_the_retained_payload_shared_and_replayable() {
+        let mut tx = LlcTx::new(cfg());
+        let mut rx: LlcRx<Msg> = LlcRx::new(cfg());
+        for i in 0..3 {
+            tx.offer((i, 2));
+        }
+        tx.seal();
+        let sent = tx.next_transmittable().unwrap().unwrap();
+        let kept = sent.clone();
+        let act = rx.on_frame(sent, true).unwrap();
+        assert_eq!(act.delivered, vec![(0, 2), (1, 2), (2, 2)]);
+        // The replay buffer still holds the very same payload.
+        tx.on_control(Control::ReplayRequest(FrameId(0))).unwrap();
+        let replayed = tx.next_transmittable().unwrap().unwrap();
+        match (&kept, &replayed) {
+            (Frame::Data { entries: a, .. }, Frame::Data { entries: b, .. }) => {
+                assert!(a.ptr_eq(b), "delivery detached the retained payload");
+            }
+            _ => panic!("expected data frames"),
+        }
+        let mut fresh: LlcRx<Msg> = LlcRx::new(cfg());
+        let again = fresh.on_frame(replayed, true).unwrap();
+        assert_eq!(again.delivered, act.delivered);
+    }
+
+    #[test]
+    fn multi_frame_seal_pads_and_piggybacks_on_the_first_frame_only() {
+        let mut config = cfg();
+        config.initial_frame_id = 40;
+        let mut tx: LlcTx<Msg> = LlcTx::new(config);
+        let shape = |f: &Frame<Msg>| match f {
+            Frame::Data {
+                id,
+                entries,
+                piggyback_credits,
+            } => (
+                id.0,
+                f.txn_count(),
+                entries.iter().filter(|e| matches!(e, Entry::Nop)).count(),
+                *piggyback_credits,
+            ),
+            Frame::Control(_) => panic!("expected data frame"),
+        };
+        // 7 payload flits per frame: 3+3 (1 nop) | 5+2 | 2+2 (3 nops).
+        tx.stage_credit_return(5);
+        for (i, flits) in [3, 3, 5, 2, 2, 2].into_iter().enumerate() {
+            tx.offer((i as u32, flits));
+        }
+        tx.seal();
+        // A second seal continues the ids and carries only its own credits.
+        tx.stage_credit_return(2);
+        tx.offer((6, 7));
+        tx.seal();
+        let frames = drain_tx(&mut tx);
+        assert!(frames.iter().all(|f| f.flits() == 8), "{frames:?}");
+        let shapes: Vec<_> = frames.iter().map(shape).collect();
+        assert_eq!(
+            shapes,
+            vec![(40, 2, 1, 5), (41, 2, 0, 0), (42, 2, 3, 0), (43, 1, 0, 2)]
+        );
     }
 
     #[test]
@@ -746,7 +909,8 @@ mod tests {
         );
         // The two that fit are still queued and deliverable.
         assert_eq!(burst.len(), 1);
-        let act = rx.drain_ingress().unwrap();
+        let mut act = RxAction::default();
+        rx.drain_ingress(&mut act).unwrap();
         assert_eq!(act.delivered.len(), 2);
     }
 

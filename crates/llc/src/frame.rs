@@ -97,31 +97,23 @@ pub enum Control {
     CreditReturn(u32),
 }
 
-/// A frame's payload: the entry vector behind an [`Arc`].
+/// A frame's payload: the entry slice behind an [`Arc`].
 ///
 /// Retaining a frame in the replay buffer — and retransmitting it on a
 /// replay request — clones the frame, and before this wrapper every
 /// clone deep-copied the payload entries. Sharing the entries makes
-/// both a refcount bump. The wrapper is transparent in use: it derefs
-/// to `[Entry<T>]` and converts from `Vec<Entry<T>>` at the single
-/// points where payloads are born (assembly and wire decode).
+/// both a refcount bump. The slice lives inline in the `Arc`'s own
+/// allocation, so a sealed frame costs exactly one allocation. The
+/// wrapper is transparent in use: it derefs to `[Entry<T>]` and is born
+/// from a slice (assembly) or a vector (wire decode).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Payload<T>(Arc<Vec<Entry<T>>>);
+pub struct Payload<T>(Arc<[Entry<T>]>);
 
 impl<T> Payload<T> {
     /// Whether two payloads share the same backing allocation — the
     /// sanitize checkers use this to count a shared payload once.
     pub fn ptr_eq(&self, other: &Payload<T>) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
-    }
-
-    /// Unwraps into the entry vector, cloning only if the payload is
-    /// still shared (e.g. delivery while the replay buffer retains it).
-    pub fn into_entries(self) -> Vec<Entry<T>>
-    where
-        T: Clone,
-    {
-        Arc::try_unwrap(self.0).unwrap_or_else(|shared| (*shared).clone())
     }
 }
 
@@ -135,7 +127,7 @@ impl<T> std::ops::Deref for Payload<T> {
 
 impl<T> From<Vec<Entry<T>>> for Payload<T> {
     fn from(entries: Vec<Entry<T>>) -> Self {
-        Payload(Arc::new(entries))
+        Payload(entries.into())
     }
 }
 
@@ -143,13 +135,13 @@ impl<T> From<Vec<Entry<T>>> for Payload<T> {
 // so wire formats are unchanged by the sharing.
 impl<T: Serialize> Serialize for Payload<T> {
     fn serialize(&self) -> Value {
-        self.0.serialize()
+        (&*self.0).serialize()
     }
 }
 
 impl<T: Deserialize> Deserialize for Payload<T> {
     fn deserialize(v: &Value) -> Result<Self, DeError> {
-        Ok(Payload(Arc::new(Vec::<Entry<T>>::deserialize(v)?)))
+        Ok(Vec::<Entry<T>>::deserialize(v)?.into())
     }
 }
 
@@ -209,34 +201,20 @@ impl<T> Frame<T> {
 
     /// Number of transaction entries carried (excluding nop padding).
     pub fn txn_count(&self) -> usize {
-        match self {
-            Frame::Data { entries, .. } => entries
-                .iter()
-                .filter(|e| matches!(e, Entry::Txn(_)))
-                .count(),
-            Frame::Control(_) => 0,
-        }
+        self.txns().count()
     }
 
-    /// The transactions carried, dropping nop padding.
-    ///
-    /// Clones transactions only when the payload is still shared with a
-    /// retained replay-buffer copy; a sole owner moves them out.
-    pub fn into_txns(self) -> Vec<T>
-    where
-        T: Clone,
-    {
-        match self {
-            Frame::Data { entries, .. } => entries
-                .into_entries()
-                .into_iter()
-                .filter_map(|e| match e {
-                    Entry::Txn(t) => Some(t),
-                    Entry::Nop => None,
-                })
-                .collect(),
-            Frame::Control(_) => Vec::new(),
-        }
+    /// The transactions carried, dropping nop padding, borrowed from
+    /// the (possibly shared) payload.
+    pub fn txns(&self) -> impl Iterator<Item = &T> {
+        let entries: &[Entry<T>] = match self {
+            Frame::Data { entries, .. } => entries,
+            Frame::Control(_) => &[],
+        };
+        entries.iter().filter_map(|e| match e {
+            Entry::Txn(t) => Some(t),
+            Entry::Nop => None,
+        })
     }
 }
 
@@ -259,20 +237,36 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 /// Assembles transactions into maximal data frames of `frame_flits`,
-/// nop-padding the final frame. Messages never split across frames.
+/// nop-padding the final frame, and appends them to `frames`. Messages
+/// never split across frames. Returns the id after the last frame.
+///
+/// Each frame's entries collect in the caller-owned `scratch` buffer
+/// (left empty, capacity kept) and are then copied into the frame's
+/// shared payload, so a frame costs exactly one allocation.
 ///
 /// # Panics
 ///
 /// Panics if any message is larger than a whole frame payload.
-pub fn assemble<T: FlitSized>(
-    txns: Vec<T>,
+pub fn assemble<T: FlitSized + Clone>(
+    txns: impl IntoIterator<Item = T>,
     frame_flits: usize,
     mut next_id: FrameId,
     credits_each: u32,
-) -> (Vec<Frame<T>>, FrameId) {
+    scratch: &mut Vec<Entry<T>>,
+    frames: &mut impl Extend<Frame<T>>,
+) -> FrameId {
     let payload_flits = frame_flits - 1; // header/CRC flit
-    let mut frames = Vec::new();
-    let mut entries: Vec<Entry<T>> = Vec::new();
+    let mut seal = |entries: &mut Vec<Entry<T>>, used: usize| {
+        entries.extend((used..payload_flits).map(|_| Entry::Nop));
+        frames.extend(std::iter::once(Frame::Data {
+            id: next_id,
+            entries: Payload(Arc::from(&entries[..])),
+            piggyback_credits: credits_each,
+        }));
+        entries.clear();
+        next_id = next_id.next();
+    };
+    scratch.clear();
     let mut used = 0usize;
     for t in txns {
         let f = t.flits();
@@ -281,34 +275,16 @@ pub fn assemble<T: FlitSized>(
             "message of {f} flits exceeds frame payload of {payload_flits}"
         );
         if used + f > payload_flits {
-            pad(&mut entries, payload_flits - used);
-            frames.push(Frame::Data {
-                id: next_id,
-                entries: std::mem::take(&mut entries).into(),
-                piggyback_credits: credits_each,
-            });
-            next_id = next_id.next();
+            seal(scratch, used);
             used = 0;
         }
         used += f;
-        entries.push(Entry::Txn(t));
+        scratch.push(Entry::Txn(t));
     }
-    if !entries.is_empty() {
-        pad(&mut entries, payload_flits - used);
-        frames.push(Frame::Data {
-            id: next_id,
-            entries: entries.into(),
-            piggyback_credits: credits_each,
-        });
-        next_id = next_id.next();
+    if !scratch.is_empty() {
+        seal(scratch, used);
     }
-    (frames, next_id)
-}
-
-fn pad<T>(entries: &mut Vec<Entry<T>>, nops: usize) {
-    for _ in 0..nops {
-        entries.push(Entry::Nop);
-    }
+    next_id
 }
 
 #[cfg(test)]
@@ -316,6 +292,17 @@ mod tests {
     use super::*;
 
     type Msg = (u32, usize);
+
+    /// Frames `txns` starting at `first`, as the Tx does.
+    fn frames_of(txns: Vec<Msg>, first: FrameId) -> (Vec<Frame<Msg>>, FrameId) {
+        let mut frames = Vec::new();
+        let next = assemble(txns, 8, first, 0, &mut Vec::new(), &mut frames);
+        (frames, next)
+    }
+
+    fn carried(frame: &Frame<Msg>) -> Vec<Msg> {
+        frame.txns().copied().collect()
+    }
 
     #[test]
     fn crc32_golden_values() {
@@ -329,7 +316,7 @@ mod tests {
         // Frame of 8 flits -> 7 payload flits. Three 2-flit messages fill
         // 6 flits; one nop pads the 7th.
         let txns: Vec<Msg> = vec![(1, 2), (2, 2), (3, 2)];
-        let (frames, next) = assemble(txns, 8, FrameId(0), 0);
+        let (frames, next) = frames_of(txns, FrameId(0));
         assert_eq!(frames.len(), 1);
         assert_eq!(next, FrameId(1));
         assert_eq!(frames[0].flits(), 8);
@@ -347,18 +334,18 @@ mod tests {
         // 7 payload flits; a 5-flit then a 4-flit message must occupy two
         // frames (4 doesn't fit after 5).
         let txns: Vec<Msg> = vec![(1, 5), (2, 4)];
-        let (frames, _) = assemble(txns, 8, FrameId(10), 0);
+        let (frames, _) = frames_of(txns, FrameId(10));
         assert_eq!(frames.len(), 2);
         assert_eq!(frames[0].id(), Some(FrameId(10)));
         assert_eq!(frames[1].id(), Some(FrameId(11)));
-        assert_eq!(frames[0].clone().into_txns(), vec![(1, 5)]);
-        assert_eq!(frames[1].clone().into_txns(), vec![(2, 4)]);
+        assert_eq!(carried(&frames[0]), vec![(1, 5)]);
+        assert_eq!(carried(&frames[1]), vec![(2, 4)]);
     }
 
     #[test]
     fn every_assembled_frame_is_exactly_full() {
         let txns: Vec<Msg> = (0..57).map(|i| (i, 1 + (i as usize % 5))).collect();
-        let (frames, _) = assemble(txns, 8, FrameId(0), 0);
+        let (frames, _) = frames_of(txns, FrameId(0));
         for f in &frames {
             assert_eq!(f.flits(), 8, "{f:?}");
             assert_eq!(f.wire_bytes(), 256);
@@ -368,7 +355,7 @@ mod tests {
     #[test]
     fn ids_are_sequential() {
         let txns: Vec<Msg> = (0..20).map(|i| (i, 7)).collect();
-        let (frames, next) = assemble(txns, 8, FrameId(5), 0);
+        let (frames, next) = frames_of(txns, FrameId(5));
         assert_eq!(frames.len(), 20);
         assert_eq!(next, FrameId(25));
         for (i, f) in frames.iter().enumerate() {
@@ -390,7 +377,7 @@ mod tests {
         assert_eq!(last.seq_cmp(last), std::cmp::Ordering::Equal);
         // Assembly rolls straight through the wrap with sequential ids.
         let txns: Vec<Msg> = (0..4).map(|i| (i, 7)).collect();
-        let (frames, next) = assemble(txns, 8, FrameId(u64::MAX - 1), 0);
+        let (frames, next) = frames_of(txns, FrameId(u64::MAX - 1));
         let ids: Vec<u64> = frames.iter().map(|f| f.id().unwrap().0).collect();
         assert_eq!(ids, vec![u64::MAX - 1, u64::MAX, 0, 1]);
         assert_eq!(next, FrameId(2));
@@ -402,18 +389,18 @@ mod tests {
         assert_eq!(f.flits(), 1);
         assert_eq!(f.wire_bytes(), 32);
         assert!(f.id().is_none());
-        assert!(f.into_txns().is_empty());
+        assert_eq!(f.txns().count(), 0);
     }
 
     #[test]
     #[should_panic(expected = "exceeds frame payload")]
     fn oversized_message_panics() {
-        let _ = assemble(vec![(0u32, 9usize)], 8, FrameId(0), 0);
+        let _ = frames_of(vec![(0, 9)], FrameId(0));
     }
 
     #[test]
     fn cloned_frames_share_payload() {
-        let (frames, _) = assemble::<Msg>(vec![(1, 2), (2, 2)], 8, FrameId(0), 0);
+        let (frames, _) = frames_of(vec![(1, 2), (2, 2)], FrameId(0));
         let copy = frames[0].clone();
         match (&frames[0], &copy) {
             (Frame::Data { entries: a, .. }, Frame::Data { entries: b, .. }) => {
@@ -422,8 +409,6 @@ mod tests {
             }
             _ => panic!("expected data frames"),
         }
-        // A sole owner moves entries out without cloning; a shared one
-        // clones — either way the transactions are identical.
-        assert_eq!(copy.into_txns(), frames[0].clone().into_txns());
+        assert_eq!(carried(&copy), carried(&frames[0]));
     }
 }

@@ -226,9 +226,15 @@ mod tests {
 
     type Msg = (u32, usize);
 
+    fn frames_of(txns: Vec<Msg>, first: FrameId, credits_each: u32) -> Vec<Frame<Msg>> {
+        let mut frames = Vec::new();
+        assemble(txns, 8, first, credits_each, &mut Vec::new(), &mut frames);
+        frames
+    }
+
     #[test]
     fn data_frame_round_trips() {
-        let (frames, _) = assemble(vec![(7u32, 3usize), (9, 2)], 8, FrameId(5), 0);
+        let frames = frames_of(vec![(7, 3), (9, 2)], FrameId(5), 0);
         for f in frames {
             let bytes = encode(&f);
             let back: Frame<Msg> = decode(&bytes).expect("clean decode");
@@ -253,7 +259,7 @@ mod tests {
 
     #[test]
     fn single_bit_damage_is_caught() {
-        let (frames, _) = assemble(vec![(1u32, 2usize)], 8, FrameId(0), 3);
+        let frames = frames_of(vec![(1, 2)], FrameId(0), 3);
         let clean = encode(&frames[0]);
         for bit in 0..clean.len() * 8 {
             let mut damaged = clean.clone();
@@ -280,7 +286,7 @@ mod tests {
         // bytes trip BadMagic, every other bit (header, payload, and the
         // CRC field itself) trips BadCrc. A clean decode or any other
         // error kind is a detector hole.
-        let (frames, _) = assemble(vec![(7u32, 3usize), (9, 2)], 8, FrameId(0), 3);
+        let frames = frames_of(vec![(7, 3), (9, 2)], FrameId(0), 3);
         let control: Frame<Msg> = Frame::Control(Control::ReplayRequest(FrameId(99)));
         for clean in [encode(&frames[0]), encode(&control)] {
             let total = clean.len() * 8;

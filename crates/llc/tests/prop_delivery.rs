@@ -41,7 +41,8 @@ proptest! {
             .enumerate()
             .map(|(i, &s)| (i as u32, s))
             .collect();
-        let (frames, _) = llc::frame::assemble(msgs, 8, llc::FrameId(0), 0);
+        let mut frames = Vec::new();
+        llc::frame::assemble(msgs, 8, llc::FrameId(0), 0, &mut Vec::new(), &mut frames);
         for f in frames {
             prop_assert_eq!(f.flits(), 8);
         }
