@@ -24,8 +24,8 @@ cargo run -q -p tflint -- check --format json --audit-allows > target/tflint.jso
 jq -e '.schema == 1 and .count == 0 and (.diagnostics | type == "array")' target/tflint.json > /dev/null
 cargo run -q -p tflint -- rules > /dev/null
 
-echo "==> sanitize feature (runtime conservation checkers)"
-cargo test --features sanitize -p llc -p simkit -q
+echo "==> sanitize feature (runtime conservation checkers: llc, simkit, core fabric tags)"
+cargo test --features sanitize -p llc -p simkit -p thymesisflow-core -q
 
 echo "==> example smoke loop (release)"
 for example in quickstart rack_orchestration failure_injection chaos_recovery cloud_workloads datacentre_motivation latency_breakdown rack_topologies observatory fleet_slo; do

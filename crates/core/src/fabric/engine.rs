@@ -51,6 +51,7 @@ use crate::fabric::stage::{
     C1MasterDram, FabricMsg, LlcPair, M1Capture, RmmuTranslate, RouterStage, SwitchStage,
     WindowSpec, WireChannel,
 };
+use crate::fabric::tag_ring::TagRing;
 use crate::fabric::trace::{
     ComponentId, FlitTrace, FlitTracer, HopContext, HopKind, LatencyBreakdown, SpanIds, WireDir,
     WireLatency,
@@ -647,8 +648,12 @@ pub struct Fabric {
     paths: BTreeMap<u32, PathState>,
     next_path: u32,
     queue: EventQueue<Ev>,
-    inflight: BTreeMap<u64, (SimTime, u32, usize)>,
-    next_tag: u64,
+    /// Live loads by tag: `(issued at, path, link)`. Tags are issued
+    /// densely at the ring's `next_tag`.
+    inflight: TagRing<(SimTime, u32, usize)>,
+    /// Loads retired, for the sanitizer's tag-conservation check.
+    #[cfg(feature = "sanitize")]
+    loads_retired: u64,
     telemetry: Registry,
     tele: FabricTele,
     tracer: FlitTracer,
@@ -718,8 +723,9 @@ impl Fabric {
             paths: BTreeMap::new(),
             next_path: 0,
             queue: EventQueue::with_engine(engine),
-            inflight: BTreeMap::new(),
-            next_tag: 0,
+            inflight: TagRing::default(),
+            #[cfg(feature = "sanitize")]
+            loads_retired: 0,
             telemetry,
             tele,
             tracer: FlitTracer::default(),
@@ -1076,7 +1082,7 @@ impl Fabric {
         if !self.paths.contains_key(&path.0) {
             return Err(FabricError::UnknownPath(path));
         }
-        if self.inflight.values().any(|(_, p, _)| *p == path.0) {
+        if self.inflight.iter().any(|(_, &(_, p, _))| p == path.0) {
             return Err(FabricError::PathBusy(path));
         }
         let state = self
@@ -1136,8 +1142,7 @@ impl Fabric {
         if let Some(kind) = state.poisoned {
             return Err(FabricError::PathFaulted { path, kind });
         }
-        let tag = self.next_tag;
-        self.next_tag += 1;
+        let tag = self.inflight.next_tag();
         // Walk the path's window in cacheline strides.
         let addr = state.window_base + (state.issue_cursor * 128) % state.window_bytes;
         state.issue_cursor += 1;
@@ -1595,7 +1600,7 @@ impl Fabric {
 
     /// Retires one completed load.
     fn retire(&mut self, tag: u64, done: &mut Vec<Completion>) -> Result<(), FabricError> {
-        let Some((issued, path, _link)) = self.inflight.remove(&tag) else {
+        let Some((issued, path, _link)) = self.inflight.remove(tag) else {
             if self.faulted.contains_key(&tag) {
                 // The completion raced its own fault resolution: the
                 // response was already past the failed component when
@@ -1618,6 +1623,10 @@ impl Fabric {
             if observed {
                 state.rtt.record(latency.as_ns());
             }
+        }
+        #[cfg(feature = "sanitize")]
+        {
+            self.loads_retired += 1;
         }
         self.telemetry.inc(self.tele.retired);
         self.telemetry.record_ns(self.tele.rtt, latency.as_ns());
@@ -1875,7 +1884,27 @@ impl Fabric {
                 seg,
             } => self.hop_credit(link, gen, chain_dir, seg),
         }
+        #[cfg(feature = "sanitize")]
+        self.check_tags();
         Ok(true)
+    }
+
+    /// Sanitize: every issued tag is exactly one of retired, faulted or
+    /// in flight, and the in-flight ring is well formed.
+    #[cfg(feature = "sanitize")]
+    fn check_tags(&self) {
+        self.inflight.check();
+        let resolved =
+            self.loads_retired + self.faults.len() as u64 + self.inflight.len() as u64;
+        assert_eq!(
+            self.inflight.next_tag(),
+            resolved,
+            "sanitize: {} tags issued but {} retired + {} faulted + {} in flight",
+            self.inflight.next_tag(),
+            self.loads_retired,
+            self.faults.len(),
+            self.inflight.len()
+        );
     }
 
     /// Runs the fabric until the event queue is empty.
@@ -2509,15 +2538,14 @@ impl Fabric {
                 sw.switch.disconnect(a, now)?;
             }
         }
-        // Resolve this link's stranded loads, in tag order so the fault
-        // log is independent of hash-map iteration order.
-        let mut stranded: Vec<u64> = self
+        // Resolve this link's stranded loads in tag order (the ring's
+        // iteration order), so the fault log is deterministic.
+        let stranded: Vec<u64> = self
             .inflight
             .iter()
             .filter(|(_, &(_, _, l))| l == link)
-            .map(|(&t, _)| t)
+            .map(|(t, _)| t)
             .collect();
-        stranded.sort_unstable();
         for tag in stranded {
             self.fault_tag(tag, kind);
         }
@@ -2564,7 +2592,7 @@ impl Fabric {
 
     /// Resolves one in-flight load to a typed fault.
     fn fault_tag(&mut self, tag: u64, kind: FaultKind) {
-        let Some((_, path, _)) = self.inflight.remove(&tag) else {
+        let Some((_, path, _)) = self.inflight.remove(tag) else {
             return;
         };
         self.faulted.insert(tag, kind);
@@ -3496,6 +3524,33 @@ mod tests {
             degraded > healthy.as_ns(),
             "N-1 lanes must serialize slower: {degraded} vs {healthy}"
         );
+    }
+
+    #[test]
+    fn failing_every_lane_of_a_live_link_faults_instead_of_panicking() {
+        // All four lanes of link 0 fail: the link goes hard-down but
+        // stays routable until the watchdog declares it dead, so the
+        // first bonded load is still offered to it and paced by its
+        // (last working) rate.
+        let (mut f, p) =
+            crate::fabric::FabricBuilder::point_to_point(params(), 2, 256 << 20).unwrap();
+        let plan = (10..14).fold(ChaosPlan::new(), |plan, ns| {
+            plan.at(
+                SimTime::from_ns(ns),
+                ChaosEvent::LaneFail {
+                    link: LinkRef::Slot(0),
+                },
+            )
+        });
+        f.schedule_chaos(&plan);
+        f.schedule_read(p, SimTime::from_ns(100)).unwrap();
+        f.schedule_read(p, SimTime::from_ns(101)).unwrap();
+        assert!(f.drain().is_ok());
+        let completed = f.completions(p).unwrap().count();
+        let faulted = f.faults().len() as u64;
+        assert_eq!(completed + faulted, 2, "scheduled == completed + faulted");
+        let kinds: Vec<FaultKind> = f.faults().iter().map(|l| l.kind).collect();
+        assert_eq!(kinds, vec![FaultKind::LinkDead { link: 0 }]);
     }
 
     #[test]

@@ -21,6 +21,7 @@ pub mod engine;
 pub mod obs;
 pub mod partition;
 pub mod stage;
+mod tag_ring;
 pub mod trace;
 
 pub use builder::FabricBuilder;

@@ -22,13 +22,13 @@
 //! table; [`chrome_trace`] renders traces as Chrome `trace_event` JSON
 //! (load into `chrome://tracing` or Perfetto).
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use serde::Value;
 use simkit::time::SimTime;
 
 use crate::fabric::engine::PathId;
+use crate::fabric::tag_ring::TagRing;
 
 /// Identifier of one pipeline stage instance inside one fabric — the
 /// component a [`Span`] attributes its time to.
@@ -395,76 +395,20 @@ const DEFAULT_TRACE_CAP: usize = 16_384;
 /// The engine-side tracer: checkpoints per in-flight tag, finished
 /// [`FlitTrace`]s after retire.
 ///
-/// Checkpoint records are *pooled*: load tags are monotonic, so the
-/// live set is a dense sliding window (`tag - base` indexes a ring of
-/// recycled [`Pending`] slots). Every hot-path hook — begin, wire
-/// transmit, delivery, memory completion, finish — is an O(1) index
-/// into preallocated storage; the steady state allocates nothing per
-/// flit, where the previous `BTreeMap` paid a tree insert/remove (and
-/// its node allocations) per traced load.
+/// Checkpoint records are *pooled* in a tag-indexed ring: load tags are
+/// monotonic, so the live set is a dense sliding window of recycled
+/// [`Pending`] slots. Every hot-path hook — begin, wire transmit,
+/// delivery, memory completion, finish — is an O(1) index into
+/// preallocated storage; the steady state allocates nothing per flit.
 #[derive(Debug, Default)]
 pub(crate) struct FlitTracer {
     enabled: bool,
-    /// Tag of `window[0]`.
-    base: u64,
-    /// Pooled checkpoint ring; `None` slots are recycled in place.
-    window: VecDeque<Option<Pending>>,
-    /// Live (Some) records in the window.
-    live: usize,
+    /// Live checkpoint records by tag.
+    window: TagRing<Pending>,
     finished: Vec<FlitTrace>,
 }
 
 impl FlitTracer {
-    /// The live record for `tag`, if any (O(1) window index).
-    fn slot(&self, tag: u64) -> Option<&Pending> {
-        let idx = tag.checked_sub(self.base)?;
-        self.window.get(idx as usize)?.as_ref()
-    }
-
-    /// Mutable variant of [`FlitTracer::slot`].
-    fn slot_mut(&mut self, tag: u64) -> Option<&mut Pending> {
-        let idx = tag.checked_sub(self.base)?;
-        self.window.get_mut(idx as usize)?.as_mut()
-    }
-
-    /// Installs a record for `tag`, growing the window as needed. An
-    /// empty window re-bases to `tag` first so late-enabled tracing
-    /// never pads from tag zero.
-    fn insert(&mut self, tag: u64, p: Pending) {
-        if self.live == 0 {
-            self.window.clear();
-            self.base = tag;
-        }
-        let Some(idx) = tag.checked_sub(self.base) else {
-            return; // Tag behind the window: stale replay, not traceable.
-        };
-        while self.window.len() <= idx as usize {
-            self.window.push_back(None);
-        }
-        if self.window[idx as usize].replace(p).is_none() {
-            self.live += 1;
-        }
-    }
-
-    /// Removes and returns `tag`'s record, advancing the window base
-    /// past any leading recycled slots.
-    fn remove(&mut self, tag: u64) -> Option<Pending> {
-        let idx = tag.checked_sub(self.base)?;
-        let p = self.window.get_mut(idx as usize)?.take()?;
-        self.live -= 1;
-        while matches!(self.window.front(), Some(None)) {
-            self.window.pop_front();
-            self.base += 1;
-        }
-        Some(p)
-    }
-
-    /// Current window footprint in slots (tests pin the recycling).
-    #[cfg(test)]
-    fn window_slots(&self) -> usize {
-        self.window.len()
-    }
-
     pub(crate) fn enabled(&self) -> bool {
         self.enabled
     }
@@ -476,19 +420,18 @@ impl FlitTracer {
         self.enabled = enabled;
         if !enabled {
             self.window.clear();
-            self.live = 0;
         }
     }
 
     /// Whether any hot-path hook needs to run.
     #[inline]
     pub(crate) fn active(&self) -> bool {
-        self.enabled && self.live > 0
+        self.enabled && !self.window.is_empty()
     }
 
     /// Opens checkpoints for a freshly issued tag. Once the retained
     /// cap is full new tags are no longer traced, so a long closed-loop
-    /// run quiesces: `live` drains, [`Self::active`] goes false, and
+    /// run quiesces: the window drains, [`Self::active`] goes false, and
     /// every downstream hook becomes a single branch.
     pub(crate) fn begin(
         &mut self,
@@ -504,7 +447,7 @@ impl FlitTracer {
         if self.finished.len() >= DEFAULT_TRACE_CAP {
             return;
         }
-        self.insert(
+        self.window.insert(
             tag,
             Pending {
                 path,
@@ -523,7 +466,7 @@ impl FlitTracer {
     /// Records a wire transmit of the tag's frame (replays overwrite:
     /// the surviving checkpoint is the transmit that actually delivered).
     pub(crate) fn wire_tx(&mut self, tag: u64, dir: WireDir, now: SimTime) {
-        if let Some(p) = self.slot_mut(tag) {
+        if let Some(p) = self.window.get_mut(tag) {
             match dir {
                 WireDir::Forward => p.fwd_tx = Some(now),
                 WireDir::Reverse => p.rev_tx = Some(now),
@@ -533,7 +476,7 @@ impl FlitTracer {
 
     /// Records in-order delivery of the tag's message out of an LLC Rx.
     pub(crate) fn delivered(&mut self, tag: u64, dir: WireDir, now: SimTime) {
-        if let Some(p) = self.slot_mut(tag) {
+        if let Some(p) = self.window.get_mut(tag) {
             match dir {
                 WireDir::Forward => p.fwd_deliver = Some(now),
                 WireDir::Reverse => p.rev_deliver = Some(now),
@@ -543,7 +486,7 @@ impl FlitTracer {
 
     /// Records when the donor's memory completion re-enters the LLC.
     pub(crate) fn memory_done(&mut self, tag: u64, at: SimTime) {
-        if let Some(p) = self.slot_mut(tag) {
+        if let Some(p) = self.window.get_mut(tag) {
             p.mem_done = Some(at);
         }
     }
@@ -552,11 +495,11 @@ impl FlitTracer {
     /// Discards the live checkpoints of a load resolved as faulted —
     /// a half-traced load can never finalize.
     pub(crate) fn abandon(&mut self, tag: u64) {
-        self.remove(tag);
+        self.window.remove(tag);
     }
 
     pub(crate) fn pending_link(&self, tag: u64) -> Option<usize> {
-        self.slot(tag).map(|p| p.link)
+        self.window.get(tag).map(|p| p.link)
     }
 
     /// Finalizes the tag's trace at retire time: subdivides the
@@ -570,7 +513,7 @@ impl FlitTracer {
         retired: SimTime,
         ctx: &HopContext,
     ) -> Option<usize> {
-        let p = self.remove(tag)?;
+        let p = self.window.remove(tag)?;
         if self.finished.len() >= DEFAULT_TRACE_CAP {
             return None;
         }
@@ -1043,7 +986,7 @@ mod tests {
         // window never grows past the in-flight count (1).
         for tag in 0..64u64 {
             drive(&mut tr, tag, SimTime::from_ns(tag * 2_000));
-            assert!(tr.window_slots() <= 1, "window grew on sequential loads");
+            assert!(tr.window.slots() <= 1, "window grew on sequential loads");
         }
         assert_eq!(tr.traces().len(), 64);
         // A late-enabled tracer re-bases to the first live tag instead
@@ -1051,7 +994,7 @@ mod tests {
         let mut late = FlitTracer::default();
         late.set_enabled(true);
         drive(&mut late, 1_000_000, SimTime::from_ns(5));
-        assert!(late.window_slots() <= 1, "window padded from tag zero");
+        assert!(late.window.slots() <= 1, "window padded from tag zero");
         assert_eq!(late.traces().len(), 1);
     }
 

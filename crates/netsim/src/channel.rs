@@ -46,9 +46,12 @@ pub struct Channel {
 }
 
 impl Channel {
-    /// Aggregate payload rate of the currently-working bonded lanes.
+    /// Aggregate payload rate of the currently-working bonded lanes: the
+    /// serializing line's rate, which [`Channel::fail_lane`] re-rates as
+    /// lanes fail. Once the last lane fails the channel is hard-down and
+    /// keeps reporting its last working rate.
     pub fn payload_rate(&self) -> Rate {
-        Rate::from_bytes_per_sec(self.lane.payload_rate().bytes_per_sec() * self.lanes as f64)
+        self.line.rate()
     }
 
     /// Number of currently-working bonded lanes.
@@ -368,8 +371,12 @@ mod tests {
     #[test]
     fn failing_the_last_lane_takes_the_channel_down() {
         let mut ch = ChannelBuilder::thymesisflow_default().lanes(1).build();
+        let one_lane = ch.payload_rate().bytes_per_sec();
         assert_eq!(ch.fail_lane(), 0);
         assert!(ch.is_down());
+        // The rate stays the last working one: pacing a down channel
+        // must not build a zero rate.
+        assert!((ch.payload_rate().bytes_per_sec() - one_lane).abs() < 1e-9);
         assert_eq!(ch.transmit(SimTime::ZERO, 64), Delivery::Dropped);
         // Further fail_lane calls are harmless no-ops.
         assert_eq!(ch.fail_lane(), 0);

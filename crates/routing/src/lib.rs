@@ -96,7 +96,6 @@ struct RouteEntry {
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct Router {
     routes: BTreeMap<NetworkId, RouteEntry>,
-    per_channel: BTreeMap<ChannelId, u64>,
 }
 
 impl Router {
@@ -166,7 +165,6 @@ impl Router {
             route.channels[0]
         };
         route.forwarded += 1;
-        *self.per_channel.entry(ch).or_insert(0) += 1;
         Ok(ch)
     }
 
@@ -211,11 +209,6 @@ impl Router {
         self.routes.get(&network).map_or(0, |r| r.forwarded)
     }
 
-    /// Transactions forwarded on a channel (across all flows).
-    pub fn channel_load(&self, ch: ChannelId) -> u64 {
-        self.per_channel.get(&ch).copied().unwrap_or(0)
-    }
-
     /// Installed flow count.
     pub fn route_count(&self) -> usize {
         self.routes.len()
@@ -243,8 +236,7 @@ mod tests {
                 ChannelId(1)
             ]
         );
-        assert_eq!(r.channel_load(ChannelId(0)), 3);
-        assert_eq!(r.channel_load(ChannelId(1)), 3);
+        assert_eq!(r.forwarded(NetworkId(1)), 6);
     }
 
     #[test]
@@ -252,10 +244,11 @@ mod tests {
         let mut r = Router::new();
         r.add_route(NetworkId(2), vec![ChannelId(3), ChannelId(4)])
             .unwrap();
-        for _ in 0..5 {
-            assert_eq!(r.forward(NetworkId(2), false).unwrap(), ChannelId(3));
-        }
-        assert_eq!(r.channel_load(ChannelId(4)), 0);
+        let picks: Vec<ChannelId> = (0..5)
+            .map(|_| r.forward(NetworkId(2), false).unwrap())
+            .collect();
+        // Every pick is the first channel; the second is never used.
+        assert_eq!(picks, vec![ChannelId(3); 5]);
     }
 
     #[test]
@@ -267,12 +260,18 @@ mod tests {
         r.add_route(NetworkId(1), vec![ChannelId(0), ChannelId(1)])
             .unwrap();
         r.add_route(NetworkId(2), vec![ChannelId(0)]).unwrap();
-        r.forward(NetworkId(1), true).unwrap();
-        r.forward(NetworkId(2), false).unwrap();
-        r.forward(NetworkId(1), true).unwrap();
-        r.forward(NetworkId(2), false).unwrap();
-        assert_eq!(r.channel_load(ChannelId(0)), 3);
-        assert_eq!(r.channel_load(ChannelId(1)), 1);
+        let picks = [
+            r.forward(NetworkId(1), true).unwrap(),
+            r.forward(NetworkId(2), false).unwrap(),
+            r.forward(NetworkId(1), true).unwrap(),
+            r.forward(NetworkId(2), false).unwrap(),
+        ];
+        // ch0 carries both flows (three transactions), ch1 only the
+        // bonded flow's second.
+        assert_eq!(
+            picks,
+            [ChannelId(0), ChannelId(0), ChannelId(1), ChannelId(0)]
+        );
     }
 
     #[test]

@@ -17,15 +17,17 @@
 //!   engines pop every schedule in the identical order, so simulations
 //!   are byte-for-byte reproducible on either.
 //!
-//! The calendar stores its records structure-of-arrays: each bucket (and
-//! the drain the current bucket is sorted into) keeps the `(at, seq)`
-//! sort keys in one dense array and parks the event payloads in a slot
-//! arena indexed by the keys. Ordering a bucket therefore sorts 24-byte
-//! keys instead of shuffling full event payloads (which on the fabric
-//! hot path carry whole LLC frames); a payload is moved exactly once on
-//! schedule and once on pop.
+//! Payloads and ordering are stored apart. Every pending payload sits in
+//! one slab (`Vec<Option<E>>`) whose freed slots are reused LIFO, so the
+//! slab never grows past the peak pending count and a steady-state
+//! schedule allocates nothing. The drain, the calendar buckets and the
+//! far-future heap hold only 24-byte `(at, seq, slot)` keys: ordering a
+//! bucket sorts keys instead of shuffling full payloads (which on the
+//! fabric hot path carry whole LLC frames), and a payload is moved
+//! exactly once on schedule and once on pop. Both engines order by
+//! `(at, seq)` alone; the slot never breaks a tie.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
@@ -48,122 +50,16 @@ pub enum Engine {
     HeapOnly,
 }
 
-/// A pending event: delivery instant plus a monotonically increasing
-/// sequence number used for stable tie-breaking.
-#[derive(Debug)]
-struct Scheduled<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
+/// A pending event's key: delivery instant, the monotonically increasing
+/// sequence number that breaks ties FIFO, and the slab slot holding the
+/// payload. Sequence numbers are unique, so comparing keys compares
+/// `(at, seq)` and never reaches the slot.
+type Key = (SimTime, u64, u32);
 
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event pops first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// One structure-of-arrays event store backing a calendar bucket or the
-/// drain: `(at, seq, slot)` sort keys live in one dense array while the
-/// payloads sit still in a slot arena the keys index. Buckets keep keys
-/// in arrival order; the drain keeps them sorted **descending** by
-/// `(at, seq)` so the next event pops from the back.
-#[derive(Debug)]
-struct Lane<E> {
-    /// Sort keys; `slot` indexes into [`Lane::slots`].
-    keys: Vec<(SimTime, u64, u32)>,
-    /// Payload arena; a slot empties when its key pops.
-    slots: Vec<Option<E>>,
-}
-
-impl<E> Lane<E> {
-    fn new() -> Self {
-        Lane {
-            keys: Vec::new(),
-            slots: Vec::new(),
-        }
-    }
-
-    fn slot_index(&self) -> u32 {
-        u32::try_from(self.slots.len()).expect("bucket slot index fits u32")
-    }
-
-    /// Appends in arrival order (bucket mode).
-    fn push(&mut self, at: SimTime, seq: u64, event: E) {
-        let slot = self.slot_index();
-        self.keys.push((at, seq, slot));
-        self.slots.push(Some(event));
-    }
-
-    /// Merges into the descending key order (drain mode, late schedules).
-    fn insert_sorted(&mut self, at: SimTime, seq: u64, event: E) {
-        let slot = self.slot_index();
-        self.slots.push(Some(event));
-        let key = (at, seq);
-        let pos = self.keys.partition_point(|&(a, s, _)| (a, s) > key);
-        self.keys.insert(pos, (at, seq, slot));
-    }
-
-    fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    fn last_key(&self) -> Option<(SimTime, u64)> {
-        self.keys.last().map(|&(at, seq, _)| (at, seq))
-    }
-
-    fn peek_event(&self) -> Option<&E> {
-        self.keys.last().map(|&(_, _, slot)| {
-            let slot = usize::try_from(slot).expect("slot index fits usize");
-            self.slots[slot].as_ref().expect("pending slot holds its payload")
-        })
-    }
-
-    /// Pops the backmost key's payload out of the arena. The arena is
-    /// recycled (truncated to zero, allocation kept) once every key has
-    /// popped, so a lane's slots never grow past one bucket lap.
-    fn pop(&mut self) -> Option<(SimTime, u64, E)> {
-        let (at, seq, slot) = self.keys.pop()?;
-        let slot = usize::try_from(slot).expect("slot index fits usize");
-        let event = self.slots[slot].take().expect("pending slot holds its payload");
-        if self.keys.is_empty() {
-            self.slots.clear();
-        }
-        Some((at, seq, event))
-    }
-
-    /// Orders the keys descending by `(at, seq)` without touching the
-    /// payload arena — the structure-of-arrays layout's whole point.
-    fn sort_descending(&mut self) {
-        self.keys
-            .sort_unstable_by(|a, b| (b.0, b.1).cmp(&(a.0, a.1)));
-    }
-
-    fn min_time(&self) -> Option<SimTime> {
-        self.keys.iter().map(|&(at, _, _)| at).min()
-    }
-}
+/// A key-only event lane backing a calendar bucket or the drain.
+/// Buckets keep keys in arrival order; the drain keeps them sorted
+/// **descending** so the next event pops from the back.
+type Lane = Vec<Key>;
 
 /// A discrete-event queue over an arbitrary event type `E`.
 ///
@@ -192,15 +88,20 @@ pub struct EventQueue<E> {
     now: SimTime,
     popped: u64,
     pending: usize,
-    /// Far-future events (all events in `HeapOnly` mode).
-    heap: BinaryHeap<Scheduled<E>>,
+    /// Every pending payload, indexed by its key's slot; a slot empties
+    /// when its key pops.
+    slab: Vec<Option<E>>,
+    /// Empty slab slots, reused last-freed first.
+    free: Vec<u32>,
+    /// Far-future keys (all keys in `HeapOnly` mode), earliest on top.
+    heap: BinaryHeap<Reverse<Key>>,
     /// The currently ingested calendar slice, keys sorted **descending**
     /// by `(at, seq)`; the next event pops from the back. Also absorbs
     /// late schedules that land inside the already-ingested window.
-    drain: Lane<E>,
+    drain: Lane,
     /// Unsorted calendar buckets; bucket `slot % NUM_BUCKETS` holds the
-    /// events of `slot` for slots in `[cursor_slot, cursor_slot + N)`.
-    buckets: Vec<Lane<E>>,
+    /// keys of `slot` for slots in `[cursor_slot, cursor_slot + N)`.
+    buckets: Vec<Lane>,
     /// One bit per bucket: whether it holds any events.
     occupied: Vec<u64>,
     /// First slot not yet ingested into `drain`.
@@ -239,6 +140,8 @@ impl<E> EventQueue<E> {
             now: SimTime::ZERO,
             popped: 0,
             pending: 0,
+            slab: Vec::new(),
+            free: Vec::new(),
             heap: BinaryHeap::new(),
             drain: Lane::new(),
             buckets: (0..n).map(|_| Lane::new()).collect(),
@@ -269,6 +172,21 @@ impl<E> EventQueue<E> {
         at.as_ps() >> SLOT_SHIFT
     }
 
+    /// Parks `event` in the slab, reusing the most recently freed slot.
+    fn store(&mut self, event: E) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("pending events fit u32");
+                self.slab.push(Some(event));
+                slot
+            }
+        }
+    }
+
     /// Schedules `event` for delivery at absolute instant `at`.
     ///
     /// # Panics
@@ -284,8 +202,9 @@ impl<E> EventQueue<E> {
         let seq = self.seq;
         self.seq += 1;
         self.pending += 1;
+        let key = (at, seq, self.store(event));
         if self.buckets.is_empty() {
-            self.heap.push(Scheduled { at, seq, event });
+            self.heap.push(Reverse(key));
             return;
         }
         // With the calendar empty the cursor can jump over quiet gaps,
@@ -300,15 +219,16 @@ impl<E> EventQueue<E> {
         if slot < self.cursor_slot {
             // Inside the already-ingested window: merge into the sorted
             // drain at its (at, seq) position.
-            self.drain.insert_sorted(at, seq, event);
+            let pos = self.drain.partition_point(|&k| k > key);
+            self.drain.insert(pos, key);
         } else if slot - self.cursor_slot < self.buckets.len() as u64 {
             let idx = usize::try_from(slot % self.buckets.len() as u64)
                 .expect("bucket count fits usize");
-            self.buckets[idx].push(at, seq, event);
+            self.buckets[idx].push(key);
             self.occupied[idx / 64] |= 1u64 << (idx % 64);
             self.in_buckets += 1;
         } else {
-            self.heap.push(Scheduled { at, seq, event });
+            self.heap.push(Reverse(key));
         }
     }
 
@@ -349,34 +269,60 @@ impl<E> EventQueue<E> {
         } else {
             n - (start - idx) as u64
         };
-        // Swap keeps the bucket's allocations alive for its next lap.
+        // Swap keeps the bucket's allocation alive for its next lap.
         std::mem::swap(&mut self.drain, &mut self.buckets[idx]);
         self.occupied[idx / 64] &= !(1u64 << (idx % 64));
         self.in_buckets -= self.drain.len();
-        self.drain.sort_descending();
+        self.drain.sort_unstable_by(|a, b| b.cmp(a));
         self.cursor_slot = self.cursor_slot + delta + 1;
+    }
+
+    /// The key of the next event — the earlier of the drain's back and
+    /// the heap's top — and whether it sits in the heap. Call after
+    /// [`EventQueue::ensure_drain`].
+    fn front(&self) -> Option<(Key, bool)> {
+        match (self.drain.last(), self.heap.peek()) {
+            (None, None) => None,
+            (None, Some(&Reverse(h))) => Some((h, true)),
+            (Some(&d), None) => Some((d, false)),
+            (Some(&d), Some(&Reverse(h))) => Some(if h < d { (h, true) } else { (d, false) }),
+        }
+    }
+
+    /// Removes the front key found by [`EventQueue::front`], moves its
+    /// payload out of the slab and frees the slot.
+    fn pop_front(&mut self, from_heap: bool) -> E {
+        let (_, _, slot) = if from_heap {
+            self.heap.pop().expect("front key exists").0
+        } else {
+            self.drain.pop().expect("front key exists")
+        };
+        self.pending -= 1;
+        self.popped += 1;
+        let event = self.slab[slot as usize]
+            .take()
+            .expect("pending slot holds its payload");
+        self.free.push(slot);
+        #[cfg(feature = "sanitize")]
+        assert_eq!(
+            self.slab.len() - self.free.len(),
+            self.pending,
+            "sanitize: event slab holds {} payloads for {} pending events",
+            self.slab.len() - self.free.len(),
+            self.pending
+        );
+        event
     }
 
     /// Removes and returns the earliest event, advancing the clock to its
     /// delivery time. Returns `None` when the queue is exhausted.
     ///
     /// With the `sanitize` feature on, asserts that simulated time never
-    /// regresses — the ordering invariant every simulation depends on.
+    /// regresses — the ordering invariant every simulation depends on —
+    /// and that the slab holds exactly one payload per pending event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.ensure_drain();
-        let from_heap = match (self.drain.last_key(), self.heap.peek()) {
-            (None, None) => return None,
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
-            (Some(d), Some(h)) => (h.at, h.seq) < d,
-        };
-        let (at, event) = if from_heap {
-            let sch = self.heap.pop().expect("peeked event exists");
-            (sch.at, sch.event)
-        } else {
-            let (at, _, event) = self.drain.pop().expect("peeked event exists");
-            (at, event)
-        };
+        let ((at, _, _), from_heap) = self.front()?;
         #[cfg(feature = "sanitize")]
         assert!(
             at >= self.now,
@@ -384,8 +330,7 @@ impl<E> EventQueue<E> {
             self.now,
             at
         );
-        self.pending -= 1;
-        self.popped += 1;
+        let event = self.pop_front(from_heap);
         self.now = at;
         Some((at, event))
     }
@@ -403,66 +348,37 @@ impl<E> EventQueue<E> {
         F: FnOnce(&E) -> bool,
     {
         self.ensure_drain();
-        let from_heap = match (self.drain.last_key(), self.heap.peek()) {
-            (None, None) => return None,
-            (None, Some(h)) => {
-                if h.at != self.now {
-                    return None;
-                }
-                true
-            }
-            (Some((at, _)), None) => {
-                if at != self.now {
-                    return None;
-                }
-                false
-            }
-            (Some(d), Some(h)) => {
-                let heap_first = (h.at, h.seq) < d;
-                let front_at = if heap_first { h.at } else { d.0 };
-                if front_at != self.now {
-                    return None;
-                }
-                heap_first
-            }
-        };
-        let accepted = if from_heap {
-            pred(&self.heap.peek().expect("peeked event exists").event)
-        } else {
-            pred(self.drain.peek_event().expect("peeked event exists"))
-        };
-        if !accepted {
+        let ((at, _, slot), from_heap) = self.front()?;
+        if at != self.now {
             return None;
         }
-        let event = if from_heap {
-            self.heap.pop().expect("peeked event exists").event
-        } else {
-            self.drain.pop().expect("peeked event exists").2
-        };
-        self.pending -= 1;
-        self.popped += 1;
-        Some(event)
+        let payload = self.slab[slot as usize]
+            .as_ref()
+            .expect("pending slot holds its payload");
+        if !pred(payload) {
+            return None;
+        }
+        Some(self.pop_front(from_heap))
     }
 
     /// The delivery time of the next event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let near = if let Some((at, _)) = self.drain.last_key() {
+        let near = if let Some(&(at, _, _)) = self.drain.last() {
             Some(at)
         } else if self.in_buckets > 0 {
             let n = self.buckets.len() as u64;
             let start = usize::try_from(self.cursor_slot % n).expect("bucket count fits usize");
             let idx = self.next_occupied(start);
-            self.buckets[idx].min_time()
+            self.buckets[idx].iter().map(|&(at, _, _)| at).min()
         } else {
             None
         };
-        let far = self.heap.peek().map(|s| s.at);
+        let far = self.heap.peek().map(|&Reverse((at, _, _))| at);
         match (near, far) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
     }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.pending
@@ -651,27 +567,28 @@ mod tests {
 
     #[test]
     fn pop_coincident_drains_same_instant_only() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_ns(5);
-        q.schedule(t, 1);
-        q.schedule(t, 2);
-        q.schedule(t, 3);
-        q.schedule(SimTime::from_ns(6), 4);
-        assert_eq!(q.pop().unwrap().1, 1);
-        assert_eq!(q.pop_coincident(|e| *e == 2), Some(2));
-        // Predicate rejection leaves the event queued.
-        assert_eq!(q.pop_coincident(|e| *e == 99), None);
-        assert_eq!(q.pop_coincident(|_| true), Some(3));
-        // Next event is at a later instant: not coincident.
-        assert_eq!(q.pop_coincident(|_| true), None);
-        assert_eq!(q.pop().unwrap().1, 4);
+        on_both_engines(|mut q| {
+            let t = SimTime::from_ns(5);
+            q.schedule(t, 1);
+            q.schedule(t, 2);
+            q.schedule(t, 3);
+            q.schedule(SimTime::from_ns(6), 4);
+            assert_eq!(q.pop().unwrap().1, 1);
+            assert_eq!(q.pop_coincident(|e| *e == 2), Some(2));
+            // Predicate rejection leaves the event queued.
+            assert_eq!(q.pop_coincident(|e| *e == 99), None);
+            assert_eq!(q.pop_coincident(|_| true), Some(3));
+            // Next event is at a later instant: not coincident.
+            assert_eq!(q.pop_coincident(|_| true), None);
+            assert_eq!(q.pop().unwrap().1, 4);
+        });
     }
 
     #[test]
-    fn soa_lanes_recycle_across_bucket_laps() {
-        // The slot arena truncates whenever a lane empties; pouring many
-        // laps through the same buckets must keep FIFO order intact as
-        // slots and keys are reused.
+    fn slab_slots_recycle_across_bucket_laps() {
+        // Freed slab slots are reused LIFO; pouring many laps through
+        // the same buckets must keep FIFO order intact as slots and key
+        // lanes are reused.
         let mut q = EventQueue::new();
         for lap in 0..100u64 {
             for i in 0..64u64 {
@@ -683,6 +600,56 @@ mod tests {
         }
         assert!(q.is_empty());
         assert_eq!(q.popped(), 6_400);
+        assert_eq!(q.slab.len(), 64);
+    }
+
+    #[test]
+    fn slab_never_grows_past_peak_pending() {
+        // A rolling window of at most K pending events, each pop
+        // replaced by a schedule a few buckets to a few laps ahead
+        // (some past the calendar horizon, into the heap): the slab
+        // must settle at K slots, never one more.
+        const K: usize = 37;
+        for mut q in [EventQueue::new(), EventQueue::new_heap_only()] {
+            for i in 0..K as u64 {
+                q.schedule(SimTime::from_ps(i * 997), i);
+            }
+            for i in K as u64..50_000 {
+                let (_, v) = q.pop().unwrap();
+                assert!(v < i);
+                let delta = match i % 5 {
+                    0 => 0,
+                    1 => 2_494,
+                    2 => 900_000,
+                    3 => 6_000_000,
+                    _ => 13_000,
+                };
+                q.schedule_in(SimTime::from_ps(delta), i);
+                assert_eq!(q.len(), K);
+                assert!(q.slab.len() <= K, "slab grew to {}", q.slab.len());
+                assert_eq!(q.slab.len() - q.free.len(), q.len());
+            }
+            while q.pop().is_some() {}
+            assert_eq!(q.free.len(), q.slab.len());
+        }
+    }
+
+    #[test]
+    fn dropping_the_queue_drops_pending_payloads() {
+        use std::rc::Rc;
+        let token = Rc::new(());
+        for mut q in [EventQueue::new(), EventQueue::new_heap_only()] {
+            for i in 0..100u64 {
+                // Near, mid-calendar and far-future (heap) payloads.
+                q.schedule(SimTime::from_ps(i * 50_000), Rc::clone(&token));
+            }
+            for _ in 0..40 {
+                q.pop();
+            }
+            assert_eq!(Rc::strong_count(&token), 61);
+            drop(q);
+            assert_eq!(Rc::strong_count(&token), 1);
+        }
     }
 
     #[test]
