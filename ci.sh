@@ -69,6 +69,9 @@ cargo test -q -p workloads --test fleet_scenario
 echo "==> allocation budget (steady-state datapath: <= 0.5 allocations per event, deterministic count)"
 cargo test -q -p thymesisflow-core --test alloc_budget
 
+echo "==> attach budget (lease control path: allocations per attach and per detach, deterministic count)"
+cargo test -q -p thymesisflow-core --test attach_budget
+
 echo "==> chaos scenario smoke (link flap + donor crash, exactly-once asserts)"
 cargo test -q -p thymesisflow-core --test chaos_sweep
 cargo test -q -p llc --test prop_loss_burst

@@ -1071,9 +1071,10 @@ impl Fabric {
         }
     }
 
-    /// Detaches a path: removes the route, clears its section-table
-    /// entries, frees its switch circuits and tombstones its link slots —
-    /// surviving paths keep their channel indices and their trajectories.
+    /// Detaches a path: removes its router route and topology route,
+    /// clears its section-table entries, frees its switch circuits and
+    /// tombstones its link slots — surviving paths keep their channel
+    /// indices and their trajectories.
     ///
     /// # Errors
     ///
@@ -1094,7 +1095,8 @@ impl Fabric {
         if self.route.router().channels_of(state.network).is_some() {
             self.route.remove_route(state.network)?;
         }
-        for s in self.translate.table().sections_of(state.network) {
+        let sections = self.translate.table().sections_of(state.network).to_vec();
+        for s in sections {
             self.translate.unprogram(s)?;
         }
         let now = self.queue.now();
@@ -1121,6 +1123,9 @@ impl Fabric {
                 .path(path)
                 .links(names),
             );
+        }
+        if let Some(topo) = self.topo.as_mut() {
+            topo.routes.remove(&path.0);
         }
         Ok(())
     }
@@ -2987,7 +2992,7 @@ impl Fabric {
 
     /// The topology link names a path's live route walks, in walk
     /// order; empty on fabrics built without a topology.
-    fn route_link_names(&self, path: u32) -> Vec<String> {
+    pub(crate) fn route_link_names(&self, path: u32) -> Vec<String> {
         self.topo
             .as_ref()
             .and_then(|t| t.routes.get(&path))

@@ -393,15 +393,14 @@ impl Rack {
         // Wire the flit-level path the lease will be served over.
         let id = LeaseId(self.next_lease);
         let spec = self.grant_path_spec(&grant, &format!("{}:{id}", req.memory));
-        let params = self.params.clone();
         let compute_node = self.node_ids[&req.compute];
         let donor_node = self.node_ids[&req.memory];
-        let mesh = self.mesh.clone();
+        let (params, mesh) = (&self.params, &self.mesh);
         let journal_fabrics = self.fabric_journals;
         let fabric = self.fabrics.entry(req.compute.clone()).or_insert_with(|| {
-            let (fabric, _) = FabricBuilder::new(params)
+            let (fabric, _) = FabricBuilder::new(params.clone())
                 .switch(CircuitSwitch::optical(FABRIC_SWITCH_PORTS))
-                .topology(mesh, compute_node)
+                .topology(mesh.clone(), compute_node)
                 .build()
                 .expect("an empty fabric always assembles");
             fabric
@@ -440,9 +439,17 @@ impl Rack {
             .expect("path just attached")
             .base;
         let at = fabric.now();
-        let route_links = Self::route_names(fabric, path);
+        let route_links = fabric.route_link_names(path.0);
         self.next_lease += 1;
-        let lease = Lease::new(id, grant.flow, node, &req, window_base, spec.network.0);
+        let lease = Lease::new(
+            id,
+            grant.flow,
+            node,
+            &req,
+            window_base,
+            spec.network.0,
+            pasid,
+        );
         self.leases.insert(id, lease.clone());
         self.lease_paths.insert(id, (req.compute.clone(), path));
         self.journal.record(
@@ -459,20 +466,6 @@ impl Rack {
             .links(route_links),
         );
         Ok(lease)
-    }
-
-    /// The topology link names a path's live route walks.
-    fn route_names(fabric: &Fabric, path: PathId) -> Vec<String> {
-        let names = fabric.topology_link_names();
-        fabric
-            .topology_route(path)
-            .map(|r| {
-                r.links
-                    .iter()
-                    .filter_map(|&l| names.get(l).cloned())
-                    .collect()
-            })
-            .unwrap_or_default()
     }
 
     /// [`Rack::attach`] with a per-lease SLO contract: the lease's
@@ -867,18 +860,13 @@ impl Rack {
                 fabric.detach_path(path)?;
             }
         }
-        // Find the donor's pinned region for this lease via its pasid:
-        // the memory config's pasid equals the flow's pasid; agents track
-        // by pasid, so release whatever matches the lease bytes.
-        let donor = self.agents.get_mut(lease.memory()).expect("lease host");
-        let pasid = donor
-            .pinned()
-            .iter()
-            .find(|p| p.len == lease.bytes())
-            .map(|p| p.pasid);
-        if let Some(p) = pasid {
-            donor.release_memory(p).expect("found above");
-        }
+        // Unpin exactly this lease's donor region: agents track pins by
+        // the PASID the lease was granted under.
+        self.agents
+            .get_mut(lease.memory())
+            .expect("lease host")
+            .release_memory(lease.pasid())
+            .expect("a live lease holds its donor pin");
         self.cp.detach(&self.admin, lease.flow())?;
         self.leases.remove(&id);
         self.slos.remove(&id);
@@ -1287,6 +1275,30 @@ mod tests {
         r.detach(lease.id()).unwrap();
         assert_eq!(r.host("borrower").unwrap().remote_bytes(), 0);
         assert_eq!(r.leases().count(), 0);
+    }
+
+    #[test]
+    fn detach_unpins_exactly_its_own_donor_region() {
+        let mut r = rack();
+        let first = r
+            .attach(AttachRequest::new("borrower", "donor", GIB))
+            .unwrap();
+        let first_pin = r.agents["donor"].pinned().to_vec();
+        assert_eq!(first_pin.len(), 1);
+        assert_eq!(first_pin[0].pasid, first.pasid());
+        // A second lease of the same size from the same donor.
+        let second = r
+            .attach(AttachRequest::new("borrower", "donor", GIB))
+            .unwrap();
+        assert_ne!(second.pasid(), first.pasid());
+        r.detach(second.id()).unwrap();
+        assert_eq!(
+            r.agents["donor"].pinned(),
+            &first_pin[..],
+            "detaching the second lease released the first one's pin"
+        );
+        r.detach(first.id()).unwrap();
+        assert!(r.agents["donor"].pinned().is_empty());
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! only each sealed frame's shared payload (DESIGN.md §8), so a
 //! warmed-up read stream costs well under one heap allocation per
 //! event. This test pins that budget with a counting global allocator
-//! of its own. The counter is a const-initialised thread-local, so each
-//! test counts only what its own thread allocates, whatever the harness
-//! runs beside it.
+//! (`counting`). The counter is a const-initialised thread-local, so
+//! each test counts only what its own thread allocates, whatever the
+//! harness runs beside it.
 //!
 //! Two shapes are measured: a bonded point-to-point stream, and a
 //! four-hop torus path whose frames cross interior forwarding segments
@@ -14,59 +14,13 @@
 //! the simulation's deterministic output, so each shape also runs twice
 //! on fresh fabrics and must count exactly the same.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod counting;
 
+use counting::allocs;
 use routing::topology::Torus2D;
 use simkit::time::SimTime;
 use thymesisflow_core::fabric::{Fabric, FabricBuilder, PathId, PathSpec};
 use thymesisflow_core::params::DatapathParams;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// [`System`] plus a per-thread count of allocations and reallocations.
-struct Counting;
-
-fn count_one() {
-    // `try_with`: the slot is gone while the thread tears down.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every call forwards verbatim to `System`; counting touches
-// only a const-initialised thread-local, which never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: the caller upholds `alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: the caller upholds `alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        // SAFETY: the caller upholds `realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
-}
 
 /// Readers and outstanding cachelines per reader: the paper's stream.
 const THREADS: u32 = 16;

@@ -12,12 +12,16 @@
 //! 3. **Adaptive re-route** — a 4×4 torus running a cross-rack
 //!    workload survives an interior link cut mid-run: the route is
 //!    rebuilt around the cut, every in-flight load still resolves
-//!    exactly once, and the detour avoids the downed link.
+//!    exactly once, and the detour avoids the downed link. A detached
+//!    path leaves no route behind, and the survivors reroute exactly as
+//!    they would without it.
 
+use opencapi::pasid::Pasid;
+use rmmu::flow::NetworkId;
 use routing::topology::{Line, Torus2D};
 use simkit::time::SimTime;
 use thymesisflow_core::fabric::{
-    ChaosPlan, FabricBuilder, HopKind, PathSpec, WireDir,
+    ChaosPlan, Fabric, FabricBuilder, HopKind, JournalKind, PathId, PathSpec, WireDir,
 };
 use thymesisflow_core::params::DatapathParams;
 
@@ -144,6 +148,73 @@ fn torus_cross_rack_workload_reroutes_around_an_interior_cut() {
     // The detour serves new traffic at a finite multi-hop RTT.
     let rtt = fabric.measure_load_latency(path).expect("detour serves");
     assert!(rtt > SimTime::ZERO);
+}
+
+#[test]
+fn detached_path_drops_its_route_and_survivors_reroute_unchanged() {
+    let torus = Torus2D::new(4, 4).expect("4x4 torus");
+    let dst = torus.host_at(2, 2);
+    let build = || {
+        let (mut fabric, paths) =
+            FabricBuilder::from_topology(DatapathParams::prototype(), &torus, torus.host_at(0, 0))
+                .path_to(dst, PathSpec::reference(256 << 20, 2).labelled("survivor"))
+                .build()
+                .expect("torus fabric assembles");
+        fabric.set_journal(true);
+        (fabric, paths[0])
+    };
+    // One fabric churns a second path over the same route before the
+    // cut; the control never carried it.
+    let (mut churned, survivor) = build();
+    let transient = churned
+        .attach_routed(
+            &PathSpec::new(NetworkId(9), Pasid(7), 0x1000_0000, 256 << 20).labelled("transient"),
+            dst,
+        )
+        .expect("second path attaches");
+    assert_eq!(
+        churned.topology_route(transient),
+        churned.topology_route(survivor),
+        "both paths ride the same route"
+    );
+    churned.detach_path(transient).expect("idle path detaches");
+    assert_eq!(
+        churned.topology_route(transient),
+        None,
+        "detach kept the route"
+    );
+    let (mut control, _) = build();
+
+    let victim = {
+        let route = control.topology_route(survivor).expect("routed path");
+        control.topology_link_names()[route.links[1]].clone()
+    };
+    let cut = |fabric: &mut Fabric| {
+        fabric.schedule_chaos(&ChaosPlan::new().link_down_named(SimTime::from_ns(700), &victim));
+        for _ in 0..24 {
+            fabric.issue_read(survivor).expect("healthy path issues");
+        }
+        fabric.drain().expect("reroute is survivable");
+        let reroutes: Vec<(SimTime, Option<PathId>, Option<u32>, Vec<String>)> = fabric
+            .journal()
+            .expect("journal on")
+            .records()
+            .iter()
+            .filter(|r| r.kind == JournalKind::Reroute)
+            .map(|r| (r.at, r.path, r.generation, r.links.clone()))
+            .collect();
+        (
+            fabric.route_reroutes(),
+            reroutes,
+            fabric.topology_route(survivor),
+            fabric
+                .measure_load_latency(survivor)
+                .expect("detour serves"),
+        )
+    };
+    let after_churn = cut(&mut churned);
+    assert_eq!(after_churn.0, 1, "exactly the survivor reroutes");
+    assert_eq!(after_churn, cut(&mut control));
 }
 
 #[test]

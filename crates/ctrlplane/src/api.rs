@@ -5,6 +5,8 @@
 //! via a REST API." Requests and responses are serde data types; the
 //! JSON entry point is [`crate::service::ControlPlane::handle_json`].
 
+use std::fmt::Write as _;
+
 use serde::{Deserialize, Serialize};
 
 use crate::auth::Token;
@@ -111,13 +113,15 @@ impl ComputeConfig {
     pub fn payload(&self) -> String {
         let mut s = format!("compute:{}", self.window_bytes);
         for p in &self.sections {
-            s.push_str(&format!(
+            // Writing into a `String` cannot fail.
+            let _ = write!(
+                s,
                 ":{}@{:x}/{}{}",
                 p.index,
                 p.remote_ea_base,
                 p.network,
                 if p.bonded { "b" } else { "" }
-            ));
+            );
         }
         s
     }
@@ -191,6 +195,42 @@ mod tests {
         let p1 = cfg.payload();
         cfg.sections[0].network = 4;
         assert_ne!(p1, cfg.payload());
+        // Several sections, bonded and unbonded: the exact bytes every
+        // signature covers.
+        let multi = ComputeConfig {
+            window_bytes: 3 << 28,
+            sections: vec![
+                SectionProgram {
+                    index: 0,
+                    remote_ea_base: 0x1000_0000,
+                    network: 7,
+                    bonded: true,
+                },
+                SectionProgram {
+                    index: 1,
+                    remote_ea_base: 0x2000_0000,
+                    network: 7,
+                    bonded: false,
+                },
+                SectionProgram {
+                    index: 12,
+                    remote_ea_base: 0xab_cdef_0080,
+                    network: 42,
+                    bonded: true,
+                },
+            ],
+            signature: 0,
+        };
+        assert_eq!(
+            multi.payload(),
+            "compute:805306368:0@10000000/7b:1@20000000/7:12@abcdef0080/42b"
+        );
+        let empty = ComputeConfig {
+            window_bytes: 0,
+            sections: Vec::new(),
+            signature: 0,
+        };
+        assert_eq!(empty.payload(), "compute:0");
         let m = MemoryConfig {
             pasid: 1,
             ea_base: 0x2000,

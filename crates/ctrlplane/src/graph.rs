@@ -138,7 +138,9 @@ impl Graph {
         Self::default()
     }
 
-    /// Adds a vertex, returning its id.
+    /// Adds a vertex, returning its id. Ids are dense from 0 and no
+    /// vertex is ever removed, so the live ids are exactly
+    /// `0..vertex_count()` (path search indexes flat arrays by them).
     pub fn add_vertex(&mut self, kind: VertexKind) -> VertexId {
         let id = VertexId(self.next_vertex);
         self.next_vertex += 1;

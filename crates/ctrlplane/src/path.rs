@@ -6,7 +6,7 @@
 //! hops among paths whose every edge still has the required bandwidth.
 
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::graph::{EdgeId, Graph, GraphError, VertexId};
 
@@ -21,6 +21,11 @@ pub struct PathReservation {
 
 /// Finds the fewest-hop path between two vertices whose every edge has
 /// at least `need_gbps` available. Returns the edge sequence.
+///
+/// Breadth-first over [`Graph::incident`] order, so among equally short
+/// paths the first one discovered wins. The search state is one flat
+/// array indexed by vertex id: a [`Graph`] numbers vertices densely
+/// from 0 and never removes one.
 pub fn find_path(
     graph: &Graph,
     from: VertexId,
@@ -30,11 +35,18 @@ pub fn find_path(
     if from == to {
         return Some(Vec::new());
     }
-    let mut visited: BTreeMap<VertexId, EdgeId> = BTreeMap::new();
+    let n = graph.vertex_count();
+    debug_assert!(
+        n == 0 || graph.vertex(VertexId(n as u64 - 1)).is_some(),
+        "vertex ids are dense from 0"
+    );
+    if from.0 >= n as u64 || to.0 >= n as u64 {
+        return None; // unknown endpoints have no incident edges
+    }
+    // The edge each reached vertex was first reached over.
+    let mut via: Vec<Option<EdgeId>> = vec![None; n];
     let mut queue = VecDeque::new();
     queue.push_back(from);
-    let mut seen = std::collections::BTreeSet::new();
-    seen.insert(from);
     while let Some(v) = queue.pop_front() {
         for &eid in graph.incident(v) {
             let edge = graph.edge(eid).expect("incident edge exists");
@@ -42,16 +54,17 @@ pub fn find_path(
                 continue;
             }
             let next = edge.other(v);
-            if !seen.insert(next) {
+            let reached = &mut via[next.0 as usize];
+            if next == from || reached.is_some() {
                 continue;
             }
-            visited.insert(next, eid);
+            *reached = Some(eid);
             if next == to {
                 // Reconstruct.
                 let mut path = Vec::new();
                 let mut cur = to;
                 while cur != from {
-                    let e = visited[&cur];
+                    let e = via[cur.0 as usize].expect("reached vertex has an edge");
                     path.push(e);
                     cur = graph.edge(e).expect("path edge").other(cur);
                 }

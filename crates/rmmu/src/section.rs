@@ -1,5 +1,14 @@
 //! The section table: one entry per Linux sparse-memory section.
+//!
+//! Beside the direct-indexed entries the table keeps an index of what
+//! is programmed: every programmed section index in ascending order,
+//! and the same per network flow. Both grow with the sections leases
+//! hold, never with the table, so the alias check, the teardown lookup
+//! ([`SectionTable::sections_of`]) and the free-run search
+//! ([`SectionTable::first_free_run`]) cost O(sections programmed)
+//! instead of a scan of every entry.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -125,6 +134,11 @@ pub struct Translated {
 pub struct SectionTable {
     section_bits: u32,
     entries: Vec<Option<SectionEntry>>,
+    /// Every programmed index, ascending.
+    programmed: Vec<u64>,
+    /// Programmed indices per network, ascending; a network leaves the
+    /// map with its last section.
+    by_network: BTreeMap<NetworkId, Vec<u64>>,
     translations: u64,
     faults: u64,
 }
@@ -145,6 +159,8 @@ impl SectionTable {
         SectionTable {
             section_bits,
             entries: vec![None; sections as usize],
+            programmed: Vec::new(),
+            by_network: BTreeMap::new(),
             translations: 0,
             faults: 0,
         }
@@ -191,20 +207,19 @@ impl SectionTable {
             return Err(RmmuError::Occupied(index));
         }
         let size = self.section_size();
-        for (i, other) in self.entries.iter().enumerate() {
-            if let Some(o) = other {
-                if o.network == entry.network {
-                    let overlap = entry.remote_ea_base < o.remote_ea_base + size
-                        && o.remote_ea_base < entry.remote_ea_base + size;
-                    if overlap {
-                        return Err(RmmuError::Aliases {
-                            with_section: i as u64,
-                        });
-                    }
-                }
-            }
+        // Aliasing matters only within one flow. Its sections are
+        // ascending, so the first hit is the lowest aliasing index.
+        if let Some(&i) = self.sections_of(entry.network).iter().find(|&&i| {
+            self.entries[i as usize].is_some_and(|o| {
+                entry.remote_ea_base < o.remote_ea_base + size
+                    && o.remote_ea_base < entry.remote_ea_base + size
+            })
+        }) {
+            return Err(RmmuError::Aliases { with_section: i });
         }
         self.entries[index as usize] = Some(entry);
+        insert_sorted(&mut self.programmed, index);
+        insert_sorted(self.by_network.entry(entry.network).or_default(), index);
         Ok(())
     }
 
@@ -218,7 +233,15 @@ impl SectionTable {
             .entries
             .get_mut(index as usize)
             .ok_or(RmmuError::BadIndex(index))?;
-        slot.take().ok_or(RmmuError::Unmapped(index))
+        let entry = slot.take().ok_or(RmmuError::Unmapped(index))?;
+        remove_sorted(&mut self.programmed, index);
+        if let Some(list) = self.by_network.get_mut(&entry.network) {
+            remove_sorted(list, index);
+            if list.is_empty() {
+                self.by_network.remove(&entry.network);
+            }
+        }
+        Ok(entry)
     }
 
     /// Translates a device-internal address to the donor-side effective
@@ -264,44 +287,26 @@ impl SectionTable {
         if run == 0 || run > self.sections() {
             return None;
         }
-        let mut start = 0usize;
-        let mut len = 0u64;
-        for (i, e) in self.entries.iter().enumerate() {
-            if e.is_none() {
-                if len == 0 {
-                    start = i;
-                }
-                len += 1;
-                if len == run {
-                    return Some(start as u64);
-                }
-            } else {
-                len = 0;
+        // The free runs are the gaps between programmed indices.
+        let mut start = 0;
+        for &i in &self.programmed {
+            if i - start >= run {
+                return Some(start);
             }
+            start = i + 1;
         }
-        None
+        (self.sections() - start >= run).then_some(start)
     }
 
-    /// Indices of sections programmed onto `network` (the teardown path:
-    /// detaching a flow unprograms exactly these).
-    pub fn sections_of(&self, network: NetworkId) -> Vec<u64> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| match e {
-                Some(entry) if entry.network == network => Some(i as u64),
-                _ => None,
-            })
-            .collect()
+    /// Indices of sections programmed onto `network`, ascending (the
+    /// teardown path: detaching a flow unprograms exactly these).
+    pub fn sections_of(&self, network: NetworkId) -> &[u64] {
+        self.by_network.get(&network).map_or(&[], Vec::as_slice)
     }
 
-    /// Indices of programmed sections.
-    pub fn programmed(&self) -> Vec<u64> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.map(|_| i as u64))
-            .collect()
+    /// Indices of programmed sections, ascending.
+    pub fn programmed(&self) -> &[u64] {
+        &self.programmed
     }
 
     /// Successful translations served.
@@ -312,6 +317,20 @@ impl SectionTable {
     /// Translation faults (unmapped / out-of-range).
     pub fn faults(&self) -> u64 {
         self.faults
+    }
+}
+
+/// Inserts `index` into the ascending `list` (absent before).
+fn insert_sorted(list: &mut Vec<u64>, index: u64) {
+    if let Err(at) = list.binary_search(&index) {
+        list.insert(at, index);
+    }
+}
+
+/// Removes `index` from the ascending `list`, if present.
+fn remove_sorted(list: &mut Vec<u64>, index: u64) {
+    if let Ok(at) = list.binary_search(&index) {
+        list.remove(at);
     }
 }
 
@@ -436,8 +455,8 @@ mod tests {
             .unwrap();
         t.program(4, SectionEntry::new(0x9000_0000, NetworkId(8)))
             .unwrap();
-        assert_eq!(t.sections_of(NetworkId(7)), vec![0, 1]);
-        assert_eq!(t.sections_of(NetworkId(8)), vec![4]);
+        assert_eq!(t.sections_of(NetworkId(7)), [0, 1]);
+        assert_eq!(t.sections_of(NetworkId(8)), [4]);
         assert!(t.sections_of(NetworkId(9)).is_empty());
     }
 
