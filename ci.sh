@@ -16,6 +16,14 @@ cargo doc --offline --no-deps --workspace
 echo "==> perfbench tests (the benchmark driver builds against the public core API)"
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench smoke (every workload runs, checks its simulated outputs and fails nothing)"
+for workload in p2p_stream fleet_chaos rack_churn; do
+    echo "--> perfbench: ${workload}"
+    cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "${workload}" --seed 1 --seconds 1 --trace 1 \
+        | tail -n 1 | jq -e '.correct == true and .failed == 0' > /dev/null
+done
+
 echo "==> tflint (workspace-aware static analysis + allow audit)"
 cargo run -q -p tflint -- check --audit-allows
 

@@ -900,11 +900,6 @@ impl Rack {
         &mut self.cp
     }
 
-    /// The admin token the rack was provisioned with.
-    pub fn admin_token(&self) -> &Token {
-        &self.admin
-    }
-
     /// Live leases.
     pub fn leases(&self) -> impl Iterator<Item = &Lease> {
         self.leases.values()

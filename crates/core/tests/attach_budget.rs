@@ -40,10 +40,13 @@ const CYCLES: usize = 64;
 
 /// Bounds on the mean allocations per call, set at the values measured
 /// when the control path became O(lease): 100.98 per attach (306.09
-/// before) and 13.98 per detach (16.11 before). Lower them when the
-/// path gets leaner; never raise them.
-const ATTACH_BUDGET: f64 = 101.0;
-const DETACH_BUDGET: f64 = 14.0;
+/// before) and 13.98 per detach (16.11 before), then lowered when the
+/// route search and the control-plane graph became flat arrays and
+/// unplug stopped collecting the host's sections: 81.48 per attach and
+/// 9.86 per detach. Lower them when the path gets leaner; never raise
+/// them.
+const ATTACH_BUDGET: f64 = 81.5;
+const DETACH_BUDGET: f64 = 9.9;
 
 /// The 4×4 torus rack, cabled row- and column-wise, with the standing
 /// leases attached.

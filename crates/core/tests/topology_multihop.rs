@@ -14,7 +14,8 @@
 //!    rebuilt around the cut, every in-flight load still resolves
 //!    exactly once, and the detour avoids the downed link. A detached
 //!    path leaves no route behind, and the survivors reroute exactly as
-//!    they would without it.
+//!    they would without it. Once the link is restored it reports up
+//!    again and new paths take the shortest route over it.
 
 use opencapi::pasid::Pasid;
 use rmmu::flow::NetworkId;
@@ -215,6 +216,64 @@ fn detached_path_drops_its_route_and_survivors_reroute_unchanged() {
     let after_churn = cut(&mut churned);
     assert_eq!(after_churn.0, 1, "exactly the survivor reroutes");
     assert_eq!(after_churn, cut(&mut control));
+}
+
+#[test]
+fn restored_link_comes_back_up_and_new_paths_take_it_again() {
+    let torus = Torus2D::new(4, 4).expect("4x4 torus");
+    let dst = torus.host_at(2, 2);
+    let (mut fabric, paths) =
+        FabricBuilder::from_topology(DatapathParams::prototype(), &torus, torus.host_at(0, 0))
+            .path_to(dst, PathSpec::reference(256 << 20, 2).labelled("cut"))
+            .build()
+            .expect("torus fabric assembles");
+    let path = paths[0];
+    let shortest = fabric.topology_route(path).expect("routed path");
+    let victim_idx = shortest.links[1];
+    let victim = fabric.topology_link_names()[victim_idx].clone();
+    let is_down = |fabric: &Fabric| {
+        fabric
+            .congestion_report()
+            .get(&victim)
+            .expect("victim has a congestion row")
+            .down
+    };
+    let spec = |n: u32| {
+        PathSpec::new(NetworkId(n), Pasid(n), 0x1000_0000, 256 << 20).labelled("probe")
+    };
+
+    // Cut the route's first interior link under traffic.
+    fabric.schedule_chaos(&ChaosPlan::new().link_down_named(SimTime::from_ns(700), &victim));
+    for _ in 0..24 {
+        fabric.issue_read(path).expect("healthy path issues");
+    }
+    fabric.drain().expect("reroute is survivable");
+    assert!(is_down(&fabric), "the cut link reports down");
+    let detour = fabric.topology_route(path).expect("still routed");
+    assert!(!detour.links.contains(&victim_idx));
+    let during = fabric.attach_routed(&spec(9), dst).expect("attaches around the cut");
+    assert!(
+        !fabric.topology_route(during).expect("routed").links.contains(&victim_idx),
+        "a path attached during the cut crosses it"
+    );
+
+    // Restore it.
+    fabric.schedule_chaos(&ChaosPlan::new().link_up_named(fabric.now(), &victim));
+    fabric.drain().expect("restore lands");
+    assert!(!is_down(&fabric), "the restored link still reports down");
+    assert_eq!(
+        fabric.topology_route(path),
+        Some(detour),
+        "a detoured route stays on its detour"
+    );
+    let after = fabric.attach_routed(&spec(10), dst).expect("attaches after the restore");
+    assert_eq!(
+        fabric.topology_route(after),
+        Some(shortest),
+        "a new path takes the original shortest route again"
+    );
+    let rtt = fabric.measure_load_latency(after).expect("restored route serves");
+    assert!(rtt > SimTime::ZERO);
 }
 
 #[test]

@@ -4,7 +4,6 @@
 //! switch ports; undirected edges are physical links with a bandwidth
 //! capacity and a running reservation.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -123,13 +122,17 @@ impl fmt::Display for GraphError {
 impl std::error::Error for GraphError {}
 
 /// The system-state graph.
+///
+/// Vertex and edge ids are dense from 0 and nothing is ever removed, so
+/// vertices, edges and adjacency are flat vectors indexed by id, and
+/// the next id of each is the vector's length. Nothing serialises a
+/// `Graph`, so the derived serde shape is not a stored format.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct Graph {
-    vertices: BTreeMap<VertexId, Vertex>,
-    edges: BTreeMap<EdgeId, Edge>,
-    adjacency: BTreeMap<VertexId, Vec<EdgeId>>,
-    next_vertex: u64,
-    next_edge: u64,
+    vertices: Vec<Vertex>,
+    edges: Vec<Edge>,
+    /// Incident edges of each vertex, in insertion order.
+    adjacency: Vec<Vec<EdgeId>>,
 }
 
 impl Graph {
@@ -142,10 +145,9 @@ impl Graph {
     /// vertex is ever removed, so the live ids are exactly
     /// `0..vertex_count()` (path search indexes flat arrays by them).
     pub fn add_vertex(&mut self, kind: VertexKind) -> VertexId {
-        let id = VertexId(self.next_vertex);
-        self.next_vertex += 1;
-        self.vertices.insert(id, Vertex { id, kind });
-        self.adjacency.insert(id, Vec::new());
+        let id = VertexId(self.vertices.len() as u64);
+        self.vertices.push(Vertex { id, kind });
+        self.adjacency.push(Vec::new());
         id
     }
 
@@ -160,63 +162,57 @@ impl Graph {
         b: VertexId,
         capacity_gbps: f64,
     ) -> Result<EdgeId, GraphError> {
-        if !self.vertices.contains_key(&a) {
-            return Err(GraphError::UnknownVertex(a));
+        for v in [a, b] {
+            if self.vertex(v).is_none() {
+                return Err(GraphError::UnknownVertex(v));
+            }
         }
-        if !self.vertices.contains_key(&b) {
-            return Err(GraphError::UnknownVertex(b));
-        }
-        let id = EdgeId(self.next_edge);
-        self.next_edge += 1;
-        self.edges.insert(
+        let id = EdgeId(self.edges.len() as u64);
+        self.edges.push(Edge {
             id,
-            Edge {
-                id,
-                a,
-                b,
-                capacity_gbps,
-                reserved_gbps: 0.0,
-            },
-        );
-        self.adjacency.get_mut(&a).expect("checked").push(id);
-        self.adjacency.get_mut(&b).expect("checked").push(id);
+            a,
+            b,
+            capacity_gbps,
+            reserved_gbps: 0.0,
+        });
+        self.adjacency[a.0 as usize].push(id);
+        self.adjacency[b.0 as usize].push(id);
         Ok(id)
     }
 
     /// A vertex by id.
     pub fn vertex(&self, id: VertexId) -> Option<&Vertex> {
-        self.vertices.get(&id)
+        self.vertices.get(id.0 as usize)
     }
 
     /// An edge by id.
     pub fn edge(&self, id: EdgeId) -> Option<&Edge> {
-        self.edges.get(&id)
+        self.edges.get(id.0 as usize)
+    }
+
+    fn edge_mut(&mut self, id: EdgeId) -> Result<&mut Edge, GraphError> {
+        self.edges
+            .get_mut(id.0 as usize)
+            .ok_or(GraphError::UnknownEdge(id))
     }
 
     /// Edges incident to a vertex.
     pub fn incident(&self, v: VertexId) -> &[EdgeId] {
-        self.adjacency.get(&v).map(Vec::as_slice).unwrap_or(&[])
+        self.adjacency.get(v.0 as usize).map_or(&[], Vec::as_slice)
     }
 
-    /// First vertex matching a predicate on its kind.
+    /// First vertex matching a predicate on its kind, in id order.
     pub fn find<F: Fn(&VertexKind) -> bool>(&self, pred: F) -> Option<VertexId> {
-        let mut ids: Vec<&VertexId> = self.vertices.keys().collect();
-        ids.sort();
-        ids.into_iter()
-            .find(|id| pred(&self.vertices[id].kind))
-            .copied()
+        self.vertices.iter().find(|v| pred(&v.kind)).map(|v| v.id)
     }
 
     /// All vertices matching a predicate on their kind, in id order.
     pub fn find_all<F: Fn(&VertexKind) -> bool>(&self, pred: F) -> Vec<VertexId> {
-        let mut out: Vec<VertexId> = self
-            .vertices
-            .values()
+        self.vertices
+            .iter()
             .filter(|v| pred(&v.kind))
             .map(|v| v.id)
-            .collect();
-        out.sort();
-        out
+            .collect()
     }
 
     /// Reserves bandwidth on an edge.
@@ -225,7 +221,7 @@ impl Graph {
     ///
     /// Fails on unknown edges or insufficient capacity.
     pub fn reserve(&mut self, e: EdgeId, gbps: f64) -> Result<(), GraphError> {
-        let edge = self.edges.get_mut(&e).ok_or(GraphError::UnknownEdge(e))?;
+        let edge = self.edge_mut(e)?;
         if edge.available_gbps() + 1e-9 < gbps {
             return Err(GraphError::Overcommit(e));
         }
@@ -239,7 +235,7 @@ impl Graph {
     ///
     /// Fails on unknown edges or over-release.
     pub fn release(&mut self, e: EdgeId, gbps: f64) -> Result<(), GraphError> {
-        let edge = self.edges.get_mut(&e).ok_or(GraphError::UnknownEdge(e))?;
+        let edge = self.edge_mut(e)?;
         if edge.reserved_gbps + 1e-9 < gbps {
             return Err(GraphError::OverRelease(e));
         }

@@ -79,7 +79,7 @@ impl std::error::Error for HotplugError {}
 /// assert_eq!(mem.online_bytes(1), SECTION_BYTES);
 /// # Ok::<(), hostsim::hotplug::HotplugError>(())
 /// ```
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SparseMemory {
     sections: BTreeMap<u64, Section>,
     hotplug_events: u64,

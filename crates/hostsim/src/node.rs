@@ -4,6 +4,13 @@
 //! AC922-shaped host the prototype runs on, and implements the agent's
 //! two OS-level operations: hotplugging disaggregated memory in (probe +
 //! online + CPU-less NUMA node) and tearing it back down.
+//!
+//! The unplug contract: only a NUMA node that hotplug created, which
+//! therefore owns a ThymesisFlow window, can be unplugged; socket DRAM
+//! is refused with [`HostError::NotRemote`]. A node with allocated
+//! pages is refused too. A refusal changes nothing. An unplug walks
+//! the node's window by section start address, so it costs O(lease),
+//! not O(host DRAM).
 
 use std::fmt;
 
@@ -50,6 +57,9 @@ pub enum HostError {
     PhysMap(PhysMapError),
     /// NUMA failure.
     Numa(NumaError),
+    /// The NUMA node has no ThymesisFlow window: it is local DRAM, and
+    /// only hotplugged disaggregated memory can be unplugged.
+    NotRemote(NumaNodeId),
 }
 
 impl fmt::Display for HostError {
@@ -60,6 +70,7 @@ impl fmt::Display for HostError {
                 write!(f, "{b} bytes is not a whole number of sections"),
             HostError::PhysMap(e) => write!(f, "physical map: {e}"),
             HostError::Numa(e) => write!(f, "numa: {e}"),
+            HostError::NotRemote(n) => write!(f, "numa {n} is not disaggregated memory"),
         }
     }
 }
@@ -233,26 +244,35 @@ impl HostNode {
     /// The agent's detach path: offline + remove the sections, drop the
     /// window and the NUMA node.
     ///
+    /// Only a node [`HostNode::hotplug_remote_memory`] created can be
+    /// unplugged. Its sections are exactly those of its ThymesisFlow
+    /// window, `base, base + SECTION_BYTES, …` up to the window's end,
+    /// because hotplug probes every one of them and nothing else for
+    /// the node. So the detach walks the window, in address order, and
+    /// costs host work in proportion to the lease, not to the host's
+    /// DRAM. Every refusal comes before any state changes.
+    ///
     /// # Errors
     ///
-    /// Fails if the node still has live allocations or is unknown.
+    /// Fails with [`HostError::NotRemote`] for a node without a
+    /// window (socket DRAM), and with a NUMA error if the node still
+    /// has live allocations or is unknown.
     pub fn unplug_remote_memory(&mut self, node: NumaNodeId) -> Result<(), HostError> {
+        if self.remote_window(node).is_none() {
+            if self.numa.node(node).is_some() {
+                return Err(HostError::NotRemote(node));
+            }
+            return Err(NumaError::UnknownNode(node).into());
+        }
         // Refuse while pages are allocated (the kernel would have to
         // migrate them away first).
         self.numa.remove_node(node)?;
-        for s in self.sparse.sections_of(node.0) {
-            self.sparse.offline(s.start).expect("section online");
-            self.sparse.remove(s.start).expect("section offline");
-        }
-        let window: Vec<u64> = self
-            .physmap
-            .regions()
-            .iter()
-            .filter(|r| matches!(r.kind, RegionKind::ThymesisFlow { node: n } if n == node.0))
-            .map(|r| r.base)
-            .collect();
-        for base in window {
-            self.physmap.remove(base)?;
+        while let Some(window) = self.remote_window(node) {
+            for start in (window.base..window.base + window.len).step_by(SECTION_BYTES as usize) {
+                self.sparse.offline(start).expect("window section online");
+                self.sparse.remove(start).expect("window section offline");
+            }
+            self.physmap.remove(window.base)?;
         }
         Ok(())
     }
@@ -326,6 +346,35 @@ mod tests {
         assert!(host.unplug_remote_memory(node).is_err());
         host.numa_mut().free(node, 100).unwrap();
         assert!(host.unplug_remote_memory(node).is_ok());
+    }
+
+    #[test]
+    fn unplug_refuses_local_numa_nodes() {
+        let mut host = HostNode::new(NodeSpec::ac922("n1"));
+        let remote = host.hotplug_remote_memory(16 * GIB).unwrap();
+        let sparse = host.sparse().clone();
+        let physmap = host.physmap().clone();
+        let numa = host.numa().clone();
+        for local in [NumaNodeId(0), NumaNodeId(8)] {
+            assert_eq!(
+                host.unplug_remote_memory(local),
+                Err(HostError::NotRemote(local))
+            );
+            assert_eq!(host.sparse(), &sparse, "{local}: sections changed");
+            assert_eq!(host.physmap(), &physmap, "{local}: physmap changed");
+            assert_eq!(host.numa(), &numa, "{local}: numa nodes changed");
+        }
+        assert_eq!(host.local_bytes(), 512 * GIB);
+        // An unknown node is still reported as unknown.
+        assert_eq!(
+            host.unplug_remote_memory(NumaNodeId(7)),
+            Err(HostError::Numa(NumaError::UnknownNode(NumaNodeId(7))))
+        );
+        host.unplug_remote_memory(remote).unwrap();
+        assert_eq!(
+            host.unplug_remote_memory(remote),
+            Err(HostError::Numa(NumaError::UnknownNode(remote)))
+        );
     }
 
     #[test]

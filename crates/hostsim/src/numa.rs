@@ -132,7 +132,7 @@ impl std::error::Error for NumaError {}
 /// assert_eq!(placement[&NumaNodeId(1)], 50);
 /// # Ok::<(), hostsim::numa::NumaError>(())
 /// ```
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NumaTopology {
     nodes: Vec<NumaNode>,
     distances: BTreeMap<(NumaNodeId, NumaNodeId), u32>,

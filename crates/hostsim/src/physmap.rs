@@ -84,7 +84,7 @@ impl std::error::Error for PhysMapError {}
 /// assert_eq!(r.kind, RegionKind::LocalDram { node: 0 });
 /// # Ok::<(), hostsim::physmap::PhysMapError>(())
 /// ```
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhysicalMemoryMap {
     regions: Vec<Region>,
 }

@@ -110,11 +110,6 @@ impl CircuitSwitch {
         Self::new(ports, SimTime::from_us(25), SimTime::from_ns(30))
     }
 
-    /// Number of ports.
-    pub fn port_count(&self) -> u32 {
-        self.ports
-    }
-
     /// Latency to (re)configure a circuit.
     pub fn reconfiguration_latency(&self) -> SimTime {
         self.reconfig

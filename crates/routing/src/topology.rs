@@ -12,9 +12,10 @@
 //!
 //! Four layouts are provided — [`Line`], [`Ring`], [`Torus2D`] and the
 //! 2-tier [`Clos`] — plus [`Mesh`], the concrete adjacency snapshot any
-//! topology lowers into. All route state lives in ordered maps
-//! (`BTreeMap`/`BTreeSet`), so route tables iterate deterministically
-//! and the same topology always yields the same routes.
+//! topology lowers into. Route tables live in ordered maps
+//! (`BTreeMap`/`BTreeSet`) and the route search expands neighbors in
+//! sorted order, so route tables iterate deterministically and the
+//! same topology always yields the same routes.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -194,6 +195,11 @@ pub trait Topology {
 /// Deterministic breadth-first shortest path. Neighbors expand in
 /// (node id, link index) order, so among equal-length routes the one
 /// through the smallest link indices wins — on every run.
+///
+/// The adjacency, the parent links and the seen set are flat arrays
+/// indexed by node id, sized by the largest id among the nodes *and*
+/// the link endpoints: [`Mesh::link`] accepts ids it never declared,
+/// and a route may pass through them.
 fn bfs_route(
     nodes: &[TopoNode],
     links: &[TopoLink],
@@ -214,48 +220,62 @@ fn bfs_route(
             links: Vec::new(),
         });
     }
-    // Sorted adjacency: BTreeMap keys + per-node sorted neighbor lists
-    // make the expansion order a pure function of the topology.
-    let mut adj: BTreeMap<NodeId, Vec<(NodeId, usize)>> = BTreeMap::new();
-    for (i, l) in links.iter().enumerate() {
-        if down.contains(&i) {
-            continue;
+    let size = nodes
+        .iter()
+        .map(|t| t.id)
+        .chain(links.iter().flat_map(|l| [l.a, l.b]))
+        .map(|n| n.0 as usize + 1)
+        .max()
+        .unwrap_or(0);
+    let live = || links.iter().enumerate().filter(|(i, _)| !down.contains(i));
+    // Compressed adjacency: node `v`'s neighbors are
+    // `adj[first[v]..first[v + 1]]`. Count degrees two slots ahead, so
+    // that after the prefix sum `first[v + 1]` is where `v` starts and
+    // filling advances it to where `v + 1` starts.
+    let mut first = vec![0usize; size + 2];
+    for (_, l) in live() {
+        first[l.a.0 as usize + 2] += 1;
+        first[l.b.0 as usize + 2] += 1;
+    }
+    for v in 2..first.len() {
+        first[v] += first[v - 1];
+    }
+    let mut adj = vec![(src, 0usize); first[size + 1]];
+    for (i, l) in live() {
+        for (from, to) in [(l.a, l.b), (l.b, l.a)] {
+            let at = &mut first[from.0 as usize + 1];
+            adj[*at] = (to, i);
+            *at += 1;
         }
-        adj.entry(l.a).or_default().push((l.b, i));
-        adj.entry(l.b).or_default().push((l.a, i));
     }
-    for v in adj.values_mut() {
-        v.sort_unstable();
+    for v in 0..size {
+        adj[first[v]..first[v + 1]].sort_unstable();
     }
-    let mut parent: BTreeMap<NodeId, (NodeId, usize)> = BTreeMap::new();
-    let mut seen: BTreeSet<NodeId> = BTreeSet::new();
-    seen.insert(src);
+    // The (previous node, link) each reached node was first reached
+    // over; `src` is reached without one.
+    let mut parent: Vec<Option<(NodeId, usize)>> = vec![None; size];
     let mut frontier = VecDeque::from([src]);
     'search: while let Some(at) = frontier.pop_front() {
-        let Some(neighbors) = adj.get(&at) else {
-            continue;
-        };
-        for &(next, link) in neighbors {
-            if !seen.insert(next) {
+        let v = at.0 as usize;
+        for &(next, link) in &adj[first[v]..first[v + 1]] {
+            let reached = &mut parent[next.0 as usize];
+            if next == src || reached.is_some() {
                 continue;
             }
-            parent.insert(next, (at, link));
+            *reached = Some((at, link));
             if next == dst {
                 break 'search;
             }
             frontier.push_back(next);
         }
     }
-    if !parent.contains_key(&dst) {
+    if parent[dst.0 as usize].is_none() {
         return Err(TopologyError::NoRoute { src, dst });
     }
     let mut rnodes = vec![dst];
     let mut rlinks = Vec::new();
     let mut at = dst;
-    while at != src {
-        let &(prev, link) = parent
-            .get(&at)
-            .ok_or(TopologyError::NoRoute { src, dst })?;
+    while let Some((prev, link)) = parent[at.0 as usize] {
         rlinks.push(link);
         rnodes.push(prev);
         at = prev;

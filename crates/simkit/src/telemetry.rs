@@ -261,16 +261,6 @@ impl Registry {
         self.counters[id.0]
     }
 
-    /// Current level of a gauge.
-    pub fn gauge_value(&self, id: GaugeId) -> u64 {
-        self.gauges[id.0]
-    }
-
-    /// The histogram behind a timer.
-    pub fn timer_histogram(&self, id: TimerId) -> &Histogram {
-        &self.timers[id.0]
-    }
-
     /// Captures every registered metric at simulated time `at`.
     pub fn snapshot(&self, at: SimTime) -> Snapshot {
         let metrics = self

@@ -1750,15 +1750,6 @@ fn collect_workspace_units(root: &Path) -> io::Result<Vec<Unit>> {
     Ok(units)
 }
 
-/// Lints every `.rs` file under `crate_dir/src`. The crate name is taken
-/// from the directory name (the workspace root maps to `thymesisflow`).
-/// `tests/`, `benches/`, and `examples/` are intentionally out of scope.
-/// The cross-file index covers the crate's own files.
-pub fn check_crate(crate_dir: &Path) -> io::Result<Vec<Diagnostic>> {
-    let units = collect_crate_units(crate_dir)?;
-    Ok(run_units(&units).0)
-}
-
 /// Lints one crate *and* audits its allow comments: rule findings plus
 /// ALW001 (stale allow) / ALW002 (reasonless allow). This is what the
 /// per-crate [`gate!`] test runs, so allow hygiene fails `cargo test`
