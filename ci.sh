@@ -32,8 +32,11 @@ cargo run -q -p tflint -- check --format json --audit-allows > target/tflint.jso
 jq -e '.schema == 1 and .count == 0 and (.diagnostics | type == "array")' target/tflint.json > /dev/null
 cargo run -q -p tflint -- rules > /dev/null
 
-echo "==> sanitize feature (runtime conservation checkers: llc, simkit, core fabric tags)"
+echo "==> sanitize feature (runtime conservation checkers: llc, simkit, core fabric tags, root tests)"
 cargo test --features sanitize -p llc -p simkit -p thymesisflow-core -q
+# The root integration tests drive the fabric's read path end to end;
+# run them with core's tag-conservation checks on every step.
+cargo test -q -p thymesisflow --features thymesisflow-core/sanitize
 
 echo "==> example smoke loop (release)"
 for example in quickstart rack_orchestration failure_injection chaos_recovery cloud_workloads datacentre_motivation latency_breakdown rack_topologies observatory fleet_slo; do

@@ -9,12 +9,17 @@
 //!   passive: "it does not modify the transactions, and does not need to
 //!   receive any network information"; responses use the channel the
 //!   request arrived from.
+//!
+//! [`crate::fabric::Fabric`] holds one [`ComputeEndpoint`] for all its
+//! paths and a [`MemoryStealingEndpoint`] per donor, so
+//! [`ComputeEndpoint::process`] is the one implementation of the
+//! compute-side pipeline the datapath runs.
 
 use std::fmt;
 
 use opencapi::c1::{C1Error, C1Port};
 use opencapi::m1::{M1Endpoint, M1Error};
-use opencapi::pasid::{Pasid, Region};
+use opencapi::pasid::{Pasid, PasidError, Region};
 use opencapi::transaction::MemRequest;
 use rmmu::section::{RmmuError, SectionEntry, SectionTable};
 use rmmu::RoutedRequest;
@@ -32,6 +37,9 @@ pub enum EndpointError {
     Route(RouteError),
     /// Rejected at the memory-stealing side.
     C1(C1Error),
+    /// The donor's PASID table refused a registration (misaligned
+    /// region, PASID already registered).
+    Pasid(PasidError),
 }
 
 impl fmt::Display for EndpointError {
@@ -41,6 +49,7 @@ impl fmt::Display for EndpointError {
             EndpointError::Rmmu(e) => write!(f, "rmmu: {e}"),
             EndpointError::Route(e) => write!(f, "route: {e}"),
             EndpointError::C1(e) => write!(f, "c1: {e}"),
+            EndpointError::Pasid(e) => write!(f, "pasid: {e}"),
         }
     }
 }
@@ -64,18 +73,6 @@ impl ComputeEndpoint {
             rmmu: SectionTable::with_default_sections(window_len),
             router: Router::new(),
         }
-    }
-
-    /// Assembles an endpoint from already-configured pipeline stages
-    /// (the fabric's component instantiation path).
-    pub fn from_parts(m1: M1Endpoint, rmmu: SectionTable, router: Router) -> Self {
-        ComputeEndpoint { m1, rmmu, router }
-    }
-
-    /// Decomposes the endpoint back into its pipeline stages, in Fig. 2
-    /// order: M1 capture, RMMU section table, router.
-    pub fn into_parts(self) -> (M1Endpoint, SectionTable, Router) {
-        (self.m1, self.rmmu, self.router)
     }
 
     /// The RMMU (programming path).
@@ -168,9 +165,7 @@ impl MemoryStealingEndpoint {
     ///
     /// Propagates PASID-table failures.
     pub fn register(&mut self, pasid: Pasid, region: Region) -> Result<(), EndpointError> {
-        self.c1
-            .register(pasid, region)
-            .map_err(|_| EndpointError::C1(C1Error::Unauthorized { addr: region.ea_base }))
+        self.c1.register(pasid, region).map_err(EndpointError::Pasid)
     }
 
     /// Serves one arriving transaction: C1 masters it into the pinned
@@ -195,11 +190,6 @@ impl MemoryStealingEndpoint {
     /// The C1 port (stats).
     pub fn c1(&self) -> &C1Port {
         &self.c1
-    }
-
-    /// The donor DRAM latency this endpoint was calibrated with.
-    pub fn dram_latency(&self) -> SimTime {
-        self.dram_latency
     }
 }
 
@@ -285,5 +275,27 @@ mod tests {
         assert!(mem.serve(SimTime::ZERO, &bad, Pasid(3)).is_err());
         assert_eq!(mem.c1().mastered(), 1);
         assert_eq!(mem.c1().faulted(), 1);
+    }
+
+    #[test]
+    fn refused_registrations_report_the_pasid_table_error() {
+        let mut mem = MemoryStealingEndpoint::new(SimTime::from_ns(105));
+        let region = Region {
+            ea_base: 0x7000_0000_0000,
+            len: GIB,
+        };
+        let misaligned = Region {
+            ea_base: region.ea_base + 4,
+            ..region
+        };
+        assert_eq!(
+            mem.register(Pasid(3), misaligned),
+            Err(EndpointError::Pasid(PasidError::Misaligned))
+        );
+        mem.register(Pasid(3), region).unwrap();
+        assert_eq!(
+            mem.register(Pasid(3), region),
+            Err(EndpointError::Pasid(PasidError::AlreadyRegistered(Pasid(3))))
+        );
     }
 }

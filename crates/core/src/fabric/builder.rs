@@ -22,7 +22,7 @@ use netsim::switch::CircuitSwitch;
 use simkit::event::Engine;
 
 use crate::fabric::engine::{Fabric, FabricError, PathId, PathSpec};
-use crate::fabric::stage::{SwitchStage, WindowSpec};
+use crate::fabric::stage::WindowSpec;
 use crate::params::DatapathParams;
 
 use routing::plan::FlowPlan;
@@ -114,12 +114,7 @@ impl FabricBuilder {
     /// Propagates the first failing attach, and fails when
     /// [`FabricBuilder::path_to`] was used without a declared topology.
     pub fn build(self) -> Result<(Fabric, Vec<PathId>), FabricError> {
-        let mut fabric = Fabric::assemble(
-            self.params,
-            self.window,
-            self.switch.map(SwitchStage::new),
-            self.engine,
-        )?;
+        let mut fabric = Fabric::assemble(self.params, self.window, self.switch, self.engine)?;
         if let Some((mesh, compute)) = self.topology {
             fabric.install_topology(mesh, compute)?;
         }
@@ -259,7 +254,7 @@ mod tests {
             .map(|s| s.link)
             .collect();
         assert_eq!(links, vec![0, 1, 2], "one link slot per path");
-        assert!(fabric.switch_stage().is_none());
+        assert!(fabric.switch().is_none());
         // One shared M1 capture: the paths' windows tile its device window.
         let windows: Vec<_> = paths.iter().map(|&p| fabric.path_window(p).unwrap()).collect();
         for pair in windows.windows(2) {
@@ -276,7 +271,7 @@ mod tests {
             CircuitSwitch::optical(8),
         )
         .unwrap();
-        let sw = fabric.switch_stage().unwrap().switch();
+        let sw = fabric.switch().unwrap();
         assert_eq!(sw.circuit_count(), 2);
         assert_eq!(sw.free_ports().len(), 4);
         for p in paths {

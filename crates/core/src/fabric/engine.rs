@@ -1,15 +1,16 @@
 //! The fabric engine: executes wired stages over one shared event queue.
 //!
-//! [`Fabric`] owns the component instances ([`M1Capture`],
-//! [`RmmuTranslate`], [`RouterStage`], per-link [`LlcPair`]s and
-//! [`WireChannel`]s, per-donor [`C1MasterDram`]s, an optional
-//! [`SwitchStage`]) and moves messages between them on a single
-//! `simkit::EventQueue`. Topology is dynamic: [`Fabric::attach_path`]
-//! instantiates the flit-level plumbing for one compute→donor flow
-//! (section-table entries, router route, LLC link pairs, channels,
-//! optionally switch circuits) and [`Fabric::detach_path`] tears it back
-//! down, tombstoning the link slots so surviving paths keep their
-//! channel indices and their event trajectories.
+//! [`Fabric`] owns the paper's blocks (one [`ComputeEndpoint`] running
+//! M1 capture → RMMU translate → route pick, per-link [`LlcPair`]s and
+//! [`Channel`]s, per-donor [`MemoryStealingEndpoint`]s with their
+//! PASIDs, an optional [`CircuitSwitch`]) and moves messages between
+//! them on a single `simkit::EventQueue`. Topology is dynamic:
+//! [`Fabric::attach_path`] instantiates the flit-level plumbing for one
+//! compute→donor flow (section-table entries, router route, LLC link
+//! pairs, channels, optionally switch circuits) and
+//! [`Fabric::detach_path`] tears it back down, tombstoning the link
+//! slots so surviving paths keep their channel indices and their event
+//! trajectories.
 //!
 //! The point-to-point topology built by
 //! [`crate::fabric::FabricBuilder::point_to_point`] reproduces the
@@ -32,7 +33,6 @@ use opencapi::pasid::{Pasid, Region};
 use opencapi::transaction::{MemRequest, MemResponse};
 use rmmu::flow::NetworkId;
 use rmmu::section::{RmmuError, SectionEntry};
-use rmmu::RoutedRequest;
 use routing::plan::FlowPlan;
 use routing::topology::{Mesh, NodeId, Route as TopoRoute, Topology, TopologyError};
 use routing::{ChannelId, RouteError};
@@ -42,15 +42,12 @@ use simkit::stats::Histogram;
 use simkit::telemetry::{CounterId, Metric, Registry, Snapshot, TelemetryError, TimerId};
 use simkit::time::SimTime;
 
-use crate::endpoint::EndpointError;
+use crate::endpoint::{ComputeEndpoint, EndpointError, MemoryStealingEndpoint};
 use crate::fabric::chaos::{
     ChaosEvent, ChaosPlan, FaultKind, LinkRef, LoadFault, RecoveryConfig,
 };
 use crate::fabric::obs::{CongestionReport, Journal, JournalKind, JournalRecord, LinkCongestion};
-use crate::fabric::stage::{
-    C1MasterDram, FabricMsg, LlcPair, M1Capture, RmmuTranslate, RouterStage, SwitchStage,
-    WindowSpec, WireChannel,
-};
+use crate::fabric::stage::{FabricMsg, LlcPair, WindowSpec};
 use crate::fabric::tag_ring::TagRing;
 use crate::fabric::trace::{
     ComponentId, FlitTrace, FlitTracer, HopContext, HopKind, LatencyBreakdown, SpanIds, WireDir,
@@ -201,12 +198,6 @@ pub enum FabricError {
     Llc(LlcError),
     /// The circuit switch refused the operation.
     Switch(SwitchError),
-    /// The section table refused the operation.
-    Rmmu(RmmuError),
-    /// The routing layer refused the operation.
-    Route(RouteError),
-    /// The M1 window rejected a transaction.
-    M1(M1Error),
     /// The topology has no switch to route through.
     NoSwitch,
     /// No such path is attached.
@@ -241,9 +232,6 @@ impl fmt::Display for FabricError {
             FabricError::Endpoint(e) => write!(f, "endpoint: {e}"),
             FabricError::Llc(e) => write!(f, "llc: {e}"),
             FabricError::Switch(e) => write!(f, "switch: {e}"),
-            FabricError::Rmmu(e) => write!(f, "rmmu: {e}"),
-            FabricError::Route(e) => write!(f, "route: {e}"),
-            FabricError::M1(e) => write!(f, "m1: {e}"),
             FabricError::NoSwitch => write!(f, "topology has no circuit switch"),
             FabricError::UnknownPath(p) => write!(f, "unknown {p}"),
             FabricError::PathBusy(p) => write!(f, "{p} still has loads in flight"),
@@ -280,13 +268,13 @@ impl From<SwitchError> for FabricError {
 
 impl From<RmmuError> for FabricError {
     fn from(e: RmmuError) -> Self {
-        FabricError::Rmmu(e)
+        FabricError::Endpoint(EndpointError::Rmmu(e))
     }
 }
 
 impl From<RouteError> for FabricError {
     fn from(e: RouteError) -> Self {
-        FabricError::Route(e)
+        FabricError::Endpoint(EndpointError::Route(e))
     }
 }
 
@@ -298,7 +286,7 @@ impl From<TelemetryError> for FabricError {
 
 impl From<M1Error> for FabricError {
     fn from(e: M1Error) -> Self {
-        FabricError::M1(e)
+        FabricError::Endpoint(EndpointError::M1(e))
     }
 }
 
@@ -565,8 +553,8 @@ impl FabricTele {
 struct LinkSlot {
     up: LlcPair,
     down: LlcPair,
-    fwd: WireChannel,
-    rev: WireChannel,
+    fwd: Channel,
+    rev: Channel,
     donor: usize,
     path: u32,
     flush_pending: [bool; 2],
@@ -639,12 +627,10 @@ fn donor_id(donor: usize) -> ComponentId {
 pub struct Fabric {
     params: DatapathParams,
     window: WindowSpec,
-    capture: M1Capture,
-    translate: RmmuTranslate,
-    route: RouterStage,
+    compute: ComputeEndpoint,
     links: Vec<Option<LinkSlot>>,
-    donors: Vec<Option<C1MasterDram>>,
-    switch: Option<SwitchStage>,
+    donors: Vec<Option<(MemoryStealingEndpoint, Pasid)>>,
+    switch: Option<CircuitSwitch>,
     paths: BTreeMap<u32, PathState>,
     next_path: u32,
     queue: EventQueue<Ev>,
@@ -702,11 +688,9 @@ impl Fabric {
     pub(crate) fn assemble(
         params: DatapathParams,
         window: WindowSpec,
-        switch: Option<SwitchStage>,
+        switch: Option<CircuitSwitch>,
         engine: Engine,
     ) -> Result<Self, FabricError> {
-        let capture = M1Capture::new(window);
-        let translate = RmmuTranslate::new(window);
         // Telemetry starts disabled: instrumentation is observation only
         // and costs one predicted branch per hook until switched on.
         let mut telemetry = Registry::new(false);
@@ -714,9 +698,7 @@ impl Fabric {
         Ok(Fabric {
             params,
             window,
-            capture,
-            translate,
-            route: RouterStage::new(),
+            compute: ComputeEndpoint::new(window.base, window.bytes),
             links: Vec::new(),
             donors: Vec::new(),
             switch,
@@ -856,7 +838,7 @@ impl Fabric {
         topo_links: &[usize],
         chain_links: &[usize],
     ) -> Result<PathId, FabricError> {
-        let section = self.translate.table().section_size();
+        let section = self.compute.rmmu().section_size();
         if spec.channels == 0 {
             return Err(FabricError::Config("a path needs at least one channel".into()));
         }
@@ -869,7 +851,7 @@ impl Fabric {
         if spec.donor_ea % 128 != 0 {
             return Err(FabricError::Config("donor EA must be 128 B aligned".into()));
         }
-        if self.route.router().channels_of(spec.network).is_some() {
+        if self.compute.router_mut().channels_of(spec.network).is_some() {
             return Err(FabricError::Config(format!(
                 "network {} already has an attached path",
                 spec.network.0
@@ -877,7 +859,7 @@ impl Fabric {
         }
         if spec.via_switch {
             let free = match &self.switch {
-                Some(sw) => sw.switch().free_ports().len(),
+                Some(sw) => sw.free_ports().len(),
                 None => return Err(FabricError::NoSwitch),
             };
             if free < 2 * spec.channels {
@@ -886,25 +868,27 @@ impl Fabric {
         }
         let section_count = spec.bytes / section;
         let first_section = self
-            .translate
-            .table()
+            .compute
+            .rmmu()
             .first_free_run(section_count)
             .ok_or(FabricError::WindowExhausted {
                 sections: section_count,
             })?;
         let now = self.queue.now();
 
-        // Donor stage.
+        // Donor: the memory-stealing endpoint serving under the lease's
+        // PASID.
         let donor_idx = self.donors.len();
-        let mut donor = C1MasterDram::new(
-            SimTime::from_ns(self.params.dram_latency_ns),
+        let dram = SimTime::from_ns(self.params.dram_latency_ns);
+        let mut donor = MemoryStealingEndpoint::new(dram);
+        donor.register(
             spec.pasid,
-        );
-        donor.register(Region {
-            ea_base: spec.donor_ea,
-            len: spec.bytes,
-        })?;
-        self.donors.push(Some(donor));
+            Region {
+                ea_base: spec.donor_ea,
+                len: spec.bytes,
+            },
+        )?;
+        self.donors.push(Some((donor, spec.pasid)));
 
         // Links: LLC pairs + wire channels, optionally through circuits.
         let llc_config = LlcConfig::datapath_default();
@@ -917,8 +901,8 @@ impl Fabric {
         for c in 0..spec.channels {
             let (circuit, extra, ready) = if spec.via_switch {
                 let sw = self.switch.as_mut().ok_or(FabricError::NoSwitch)?;
-                let traversal = sw.switch.traversal_latency();
-                let (a, b, ready) = sw.switch.alloc_circuit(now)?;
+                let traversal = sw.traversal_latency();
+                let (a, b, ready) = sw.alloc_circuit(now)?;
                 (Some((a, b)), traversal, ready)
             } else {
                 (None, SimTime::ZERO, now)
@@ -950,8 +934,8 @@ impl Fabric {
             self.links.push(Some(LinkSlot {
                 up: LlcPair::new(llc_config),
                 down: LlcPair::new(llc_config),
-                fwd: WireChannel::new(mk_chan(fwd_seed)),
-                rev: WireChannel::new(mk_chan(rev_seed)),
+                fwd: mk_chan(fwd_seed),
+                rev: mk_chan(rev_seed),
                 donor: donor_idx,
                 path: path_id,
                 flush_pending: [false; 2],
@@ -968,15 +952,16 @@ impl Fabric {
             link_indices.push(link);
         }
 
-        // Section-table entries + route.
+        // Section-table entries + route, one route for all the sections.
+        let rmmu = self.compute.rmmu_mut();
         for i in 0..section_count {
             let mut entry = SectionEntry::new(spec.donor_ea + i * section, spec.network);
             if spec.bonded {
                 entry = entry.bonded();
             }
-            self.translate.program(first_section + i, entry)?;
+            rmmu.program(first_section + i, entry)?;
         }
-        self.route.add_route(spec.network, chan_ids)?;
+        self.compute.router_mut().add_route(spec.network, chan_ids)?;
 
         self.paths.insert(
             path_id,
@@ -1092,19 +1077,21 @@ impl Fabric {
             .ok_or(FabricError::UnknownPath(path))?;
         // A poisoned path already lost its route (and possibly its
         // circuits) when its last link died; tear down what remains.
-        if self.route.router().channels_of(state.network).is_some() {
-            self.route.remove_route(state.network)?;
+        let router = self.compute.router_mut();
+        if router.channels_of(state.network).is_some() {
+            router.remove_route(state.network)?;
         }
-        let sections = self.translate.table().sections_of(state.network).to_vec();
+        let sections = self.compute.rmmu().sections_of(state.network).to_vec();
+        let rmmu = self.compute.rmmu_mut();
         for s in sections {
-            self.translate.unprogram(s)?;
+            rmmu.unprogram(s)?;
         }
         let now = self.queue.now();
         for &l in &state.links {
             if let Some(slot) = self.links.get_mut(l).and_then(Option::take) {
                 if let (Some((a, _)), Some(sw)) = (slot.circuit, self.switch.as_mut()) {
-                    if sw.switch.peer(a).is_some() {
-                        sw.switch.disconnect(a, now)?;
+                    if sw.peer(a).is_some() {
+                        sw.disconnect(a, now)?;
                     }
                 }
             }
@@ -1152,19 +1139,8 @@ impl Fabric {
         let addr = state.window_base + (state.issue_cursor * 128) % state.window_bytes;
         state.issue_cursor += 1;
         let ready_at = state.ready_at;
-        let req = MemRequest::read(tag, addr);
-        // The compute pipeline, stage by stage: M1 capture → RMMU
-        // translate → route pick.
-        let dev = self.capture.accept(&req)?;
-        let t = self.translate.translate(dev)?;
-        let ch = self.route.forward(t.network, t.bonded)?;
-        let mut out = req;
-        out.addr = t.remote_ea.as_u64();
-        let routed = RoutedRequest {
-            req: out,
-            network: t.network,
-            bonded: t.bonded,
-        };
+        // The compute endpoint: M1 capture → RMMU translate → route pick.
+        let (routed, ch) = self.compute.process(&MemRequest::read(tag, addr))?;
         let now = self.queue.now();
         // Channel ids are small link indices.
         let link = ch.0 as usize;
@@ -1194,10 +1170,10 @@ impl Fabric {
             let Some(slot) = self.links.get_mut(link).and_then(Option::as_mut) else {
                 return Ok(());
             };
-            let pace = slot.fwd.chan.payload_rate();
+            let pace = slot.fwd.payload_rate();
             let data_free = match dir {
-                Dir::ToMemory => slot.fwd.chan.free_at(),
-                Dir::ToCompute => slot.rev.chan.free_at(),
+                Dir::ToMemory => slot.fwd.free_at(),
+                Dir::ToCompute => slot.rev.free_at(),
             };
             let tx = match dir {
                 Dir::ToMemory => &mut slot.up.tx,
@@ -1288,8 +1264,8 @@ impl Fabric {
                 (Dir::ToCompute, false) | (Dir::ToMemory, true) => ChainDir::Rev,
             };
             let physical = match chain_dir {
-                ChainDir::Fwd => &mut slot.fwd.chan,
-                ChainDir::Rev => &mut slot.rev.chan,
+                ChainDir::Fwd => &mut slot.fwd,
+                ChainDir::Rev => &mut slot.rev,
             };
             let delivery = physical.transmit(now, frame.wire_bytes());
             let hop_gen = slot
@@ -1517,7 +1493,7 @@ impl Fabric {
                     Some(slot) => slot.donor,
                     None => return Ok(()),
                 };
-                let donor = self
+                let (donor, pasid) = self
                     .donors
                     .get_mut(donor_idx)
                     .and_then(Option::as_mut)
@@ -1526,7 +1502,7 @@ impl Fabric {
                             "link {link} references detached donor {donor_idx}"
                         ))
                     })?;
-                let ready = donor.serve(now + stack + serdes, &routed)? + serdes + stack;
+                let ready = donor.serve(now + stack + serdes, &routed, *pasid)? + serdes + stack;
                 if self.tracer.active() {
                     self.tracer.delivered(routed.req.tag.0, WireDir::Forward, now);
                     self.tracer.memory_done(routed.req.tag.0, ready);
@@ -1579,10 +1555,10 @@ impl Fabric {
         };
         let (fwd, rev) = match slot.chain.as_ref() {
             Some(chain) => (
-                total(wire(&slot.fwd.chan), &chain.fwd),
-                total(wire(&slot.rev.chan), &chain.rev),
+                total(wire(&slot.fwd), &chain.fwd),
+                total(wire(&slot.rev), &chain.rev),
             ),
-            None => (wire(&slot.fwd.chan), wire(&slot.rev.chan)),
+            None => (wire(&slot.fwd), wire(&slot.rev)),
         };
         Some(HopContext {
             serdes: SimTime::from_ns(self.params.serdes_crossing_ns),
@@ -1971,8 +1947,8 @@ impl Fabric {
                     .flat_map(|ch| ch.fwd.iter().chain(ch.rev.iter()))
                     .map(|s| s.chan.flight_latency());
                 [
-                    slot.fwd.chan.flight_latency(),
-                    slot.rev.chan.flight_latency(),
+                    slot.fwd.flight_latency(),
+                    slot.rev.flight_latency(),
                 ]
                 .into_iter()
                 .chain(segs)
@@ -1981,8 +1957,7 @@ impl Fabric {
     }
 
     /// Schedules a failure script on the event queue and arms link-down
-    /// recovery (with [`RecoveryConfig::default`] unless
-    /// [`Fabric::set_recovery`] configured it). Events dated in the
+    /// recovery with [`RecoveryConfig::default`]. Events dated in the
     /// past land at the current instant.
     pub fn schedule_chaos(&mut self, plan: &ChaosPlan) {
         if self.recovery.is_none() {
@@ -1992,13 +1967,6 @@ impl Fabric {
         for (at, ev) in plan.events() {
             self.queue.schedule((*at).max(now), Ev::Chaos(ev.clone()));
         }
-    }
-
-    /// Arms (or re-tunes) link-down detection without scheduling any
-    /// failure — useful when only statistical loss is injected but
-    /// stranded loads must still resolve.
-    pub fn set_recovery(&mut self, cfg: RecoveryConfig) {
-        self.recovery = Some(cfg);
     }
 
     /// The armed recovery configuration, if any.
@@ -2049,7 +2017,7 @@ impl Fabric {
         self.links
             .get(link)
             .and_then(Option::as_ref)
-            .map(|s| s.fwd.chan.is_down() || s.rev.chan.is_down())
+            .map(|s| s.fwd.is_down() || s.rev.is_down())
     }
 
     /// Resolves a chaos link reference to the endpoint slots it touches
@@ -2167,8 +2135,8 @@ impl Fabric {
                         else {
                             continue;
                         };
-                        slot.fwd.chan.fail_lane();
-                        slot.rev.chan.fail_lane()
+                        slot.fwd.fail_lane();
+                        slot.rev.fail_lane()
                     };
                     touched = true;
                     if left == 0 {
@@ -2419,8 +2387,8 @@ impl Fabric {
         let Some(slot) = self.links.get_mut(link).and_then(Option::as_mut) else {
             return;
         };
-        slot.fwd.chan.set_down(true);
-        slot.rev.chan.set_down(true);
+        slot.fwd.set_down(true);
+        slot.rev.set_down(true);
         if slot.down_since.is_none() {
             slot.down_since = Some(now);
         }
@@ -2435,8 +2403,8 @@ impl Fabric {
             let Some(slot) = self.links.get_mut(link).and_then(Option::as_mut) else {
                 return Ok(());
             };
-            slot.fwd.chan.set_down(false);
-            slot.rev.chan.set_down(false);
+            slot.fwd.set_down(false);
+            slot.rev.set_down(false);
             slot.strikes = 0;
             slot.down_since.take()
         };
@@ -2539,8 +2507,8 @@ impl Fabric {
         if let (Some((a, _)), Some(sw)) = (slot.circuit, self.switch.as_mut()) {
             // A failed port already tore the circuit; only live ones
             // still need disconnecting.
-            if sw.switch.peer(a).is_some() {
-                sw.switch.disconnect(a, now)?;
+            if sw.peer(a).is_some() {
+                sw.disconnect(a, now)?;
             }
         }
         // Resolve this link's stranded loads in tag order (the ring's
@@ -2565,14 +2533,15 @@ impl Fabric {
                 // Link indices stay far below u32::MAX.
                 .map(|&l| ChannelId(l as u32))
                 .collect();
+            let router = self.compute.router_mut();
             if survivors.is_empty() {
                 state.poisoned = Some(kind);
-                if self.route.router().channels_of(network).is_some() {
-                    self.route.remove_route(network)?;
+                if router.channels_of(network).is_some() {
+                    router.remove_route(network)?;
                 }
             } else {
-                self.route.remove_route(network)?;
-                self.route.add_route(network, survivors)?;
+                router.remove_route(network)?;
+                router.add_route(network, survivors)?;
             }
         }
         self.telemetry.inc(self.tele.links_failed);
@@ -2654,7 +2623,7 @@ impl Fabric {
             let Some(sw) = self.switch.as_mut() else {
                 return Ok(()); // no switch in this topology
             };
-            if sw.switch.fail_port(port).is_err() {
+            if sw.fail_port(port).is_err() {
                 return Ok(()); // unknown or already failed
             }
         }
@@ -2666,7 +2635,7 @@ impl Fabric {
             return Ok(()); // the port carried no live circuit
         };
         let realloc = match self.switch.as_mut() {
-            Some(sw) => sw.switch.alloc_circuit(now),
+            Some(sw) => sw.alloc_circuit(now),
             None => return Ok(()),
         };
         match realloc {
@@ -2894,14 +2863,14 @@ impl Fabric {
         LinkStats {
             link,
             path: PathId(slot.path),
-            fwd_frames: slot.fwd.chan.frames_sent(),
-            fwd_bytes: slot.fwd.chan.bytes_sent(),
-            rev_frames: slot.rev.chan.frames_sent(),
-            rev_bytes: slot.rev.chan.bytes_sent(),
-            fwd_dropped: slot.fwd.chan.frames_dropped(),
-            fwd_corrupted: slot.fwd.chan.frames_corrupted(),
-            rev_dropped: slot.rev.chan.frames_dropped(),
-            rev_corrupted: slot.rev.chan.frames_corrupted(),
+            fwd_frames: slot.fwd.frames_sent(),
+            fwd_bytes: slot.fwd.bytes_sent(),
+            rev_frames: slot.rev.frames_sent(),
+            rev_bytes: slot.rev.bytes_sent(),
+            fwd_dropped: slot.fwd.frames_dropped(),
+            fwd_corrupted: slot.fwd.frames_corrupted(),
+            rev_dropped: slot.rev.frames_dropped(),
+            rev_corrupted: slot.rev.frames_corrupted(),
             up_replays: slot.up.tx.frames_replayed(),
             down_replays: slot.down.tx.frames_replayed(),
             up_delivered: slot.up.rx.frames_delivered(),
@@ -3061,9 +3030,9 @@ impl Fabric {
                 row.credit_stalls += stats.up_credit_stalls + stats.down_credit_stalls;
                 row.utilization = row
                     .utilization
-                    .max(slot.fwd.chan.utilization(now))
-                    .max(slot.rev.chan.utilization(now));
-                row.down |= slot.fwd.chan.is_down() || slot.rev.chan.is_down();
+                    .max(slot.fwd.utilization(now))
+                    .max(slot.rev.utilization(now));
+                row.down |= slot.fwd.is_down() || slot.rev.is_down();
             }
             // Interior hop segments: each covers exactly one topology
             // link past the endpoint's own.
@@ -3091,7 +3060,7 @@ impl Fabric {
     }
 
     /// The switching layer, when the topology has one.
-    pub fn switch_stage(&self) -> Option<&SwitchStage> {
+    pub fn switch(&self) -> Option<&CircuitSwitch> {
         self.switch.as_ref()
     }
 
@@ -3378,7 +3347,7 @@ mod tests {
         let mut f = Fabric::assemble(
             params(),
             WindowSpec::rack_default(),
-            Some(SwitchStage::new(CircuitSwitch::optical(8))),
+            Some(CircuitSwitch::optical(8)),
             Engine::Hybrid,
         )
         .unwrap();
@@ -3587,7 +3556,7 @@ mod tests {
         let mut f = Fabric::assemble(
             params(),
             WindowSpec::rack_default(),
-            Some(SwitchStage::new(CircuitSwitch::optical(8))),
+            Some(CircuitSwitch::optical(8)),
             Engine::Hybrid,
         )
         .unwrap();
@@ -3610,7 +3579,7 @@ mod tests {
         );
         assert!(f.faults().is_empty());
         assert!(f.path_fault(p).unwrap().is_none());
-        let sw = f.switch_stage().unwrap().switch();
+        let sw = f.switch().unwrap();
         assert!(sw.is_port_failed(port));
         assert!(sw.reconfigurations() >= 2, "tear-down plus re-program");
         // The link rides exactly one fresh circuit, clear of the failed port.
@@ -3625,7 +3594,7 @@ mod tests {
         let mut f = Fabric::assemble(
             params(),
             WindowSpec::rack_default(),
-            Some(SwitchStage::new(CircuitSwitch::optical(2))),
+            Some(CircuitSwitch::optical(2)),
             Engine::Hybrid,
         )
         .unwrap();

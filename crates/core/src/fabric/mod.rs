@@ -1,13 +1,16 @@
 //! The composable flit-level fabric.
 //!
-//! The paper's Fig. 2 pipeline as plain stage structs ([`stage`]), an
-//! engine that owns them and executes the datapath over one shared
-//! `simkit` event queue ([`engine`]), and a builder that assembles
-//! arbitrary topologies ([`builder`]): point-to-point (the reference
-//! shape, event-for-event equivalent to the pre-fabric monolithic
-//! datapath), one compute × N donors with per-network-id fan-out, and a
-//! circuit-switched rack. The wiring lives in the engine's own state —
-//! link slots, routes and switch circuits — not in a separate graph.
+//! The paper's Fig. 2 blocks held directly by an engine that executes
+//! the datapath over one shared `simkit` event queue ([`engine`]): one
+//! [`crate::endpoint::ComputeEndpoint`] (M1 capture → RMMU translate →
+//! router), per-link LLC pairs ([`stage`]) and wire channels, an
+//! optional circuit switch and per-donor memory-stealing endpoints. A
+//! builder ([`builder`]) assembles arbitrary topologies: point-to-point
+//! (the reference shape, event-for-event equivalent to the pre-fabric
+//! monolithic datapath), one compute × N donors with per-network-id
+//! fan-out, and a circuit-switched rack. The wiring lives in the
+//! engine's own state — link slots, routes and switch circuits — not in
+//! a separate graph.
 //!
 //! Paths are dynamic: [`Fabric::attach_path`] instantiates the
 //! flit-level plumbing for one lease (section-table entries, router
@@ -36,7 +39,4 @@ pub use trace::{
     chrome_trace, chrome_trace_json, BreakdownRow, ComponentId, FlitTrace, HopKind,
     LatencyBreakdown, SerdesSite, Span, StackSite, TraceId, WireDir,
 };
-pub use stage::{
-    C1MasterDram, LlcPair, M1Capture, RmmuTranslate, RouterStage, SwitchStage, WindowSpec,
-    WireChannel,
-};
+pub use stage::{LlcPair, WindowSpec};

@@ -1,31 +1,23 @@
-//! The Fig. 2 pipeline stages as plain structs owned by the engine.
+//! The fabric's own datapath types, beside the paper blocks it holds.
 //!
-//! Each hardware block of the paper's datapath — M1 capture, RMMU
-//! translate, router, LLC Tx/Rx pair, wire channel, circuit switch,
-//! C1 master + donor DRAM — is one struct here. The
-//! [`crate::fabric::Fabric`] engine owns the instances and records how
-//! they are wired in its own state: a link slot holds its LLC pairs,
-//! channels, donor index, switch circuit and interior hop chain, and the
-//! router holds the routes. Messages move between the stages over the
-//! shared `simkit` event queue, which is what lets the same blocks be
-//! wired point-to-point, one-compute-to-N-donors, or through a
-//! switching layer.
+//! The engine ([`crate::fabric::Fabric`]) holds the Fig. 2 blocks
+//! directly: one [`crate::endpoint::ComputeEndpoint`] (M1 capture → RMMU
+//! translate → router), per-link [`LlcPair`]s and
+//! [`netsim::channel::Channel`]s, an optional
+//! [`netsim::switch::CircuitSwitch`], and per donor a
+//! [`crate::endpoint::MemoryStealingEndpoint`] with its PASID. This
+//! module adds what only the fabric needs: where the compute window sits
+//! ([`WindowSpec`]), the message type crossing an LLC pair, and the pair
+//! itself. Messages move between the blocks over the shared `simkit`
+//! event queue, which is what lets the same blocks be wired
+//! point-to-point, one-compute-to-N-donors, or through a switching
+//! layer.
 
 use llc::endpoint::{LlcRx, LlcTx};
 use llc::flit::FlitSized;
 use llc::LlcConfig;
-use netsim::channel::Channel;
-use netsim::switch::CircuitSwitch;
-use opencapi::m1::{DeviceAddress, M1Endpoint, M1Error};
-use opencapi::pasid::{Pasid, Region};
-use opencapi::transaction::{MemRequest, MemResponse};
-use rmmu::flow::NetworkId;
-use rmmu::section::{RmmuError, SectionEntry, SectionTable, Translated};
+use opencapi::transaction::MemResponse;
 use rmmu::RoutedRequest;
-use routing::{ChannelId, RouteError, Router};
-use simkit::time::SimTime;
-
-use crate::endpoint::{EndpointError, MemoryStealingEndpoint};
 
 /// The device-window placement of a compute endpoint: where the
 /// firmware maps the M1 window and how many bytes of device address
@@ -75,130 +67,9 @@ impl FlitSized for FabricMsg {
     }
 }
 
-/// M1 capture: the host-facing window attachment.
-#[derive(Debug)]
-pub struct M1Capture {
-    m1: M1Endpoint,
-}
-
-impl M1Capture {
-    /// A capture stage over the given device window.
-    pub fn new(window: WindowSpec) -> Self {
-        M1Capture {
-            m1: M1Endpoint::new(window.base, window.bytes),
-        }
-    }
-
-    /// Captures one host transaction into the device address space.
-    ///
-    /// # Errors
-    ///
-    /// Rejects transactions outside or misaligned within the window.
-    pub fn accept(&mut self, req: &MemRequest) -> Result<DeviceAddress, M1Error> {
-        self.m1.accept(req)
-    }
-}
-
-/// RMMU translate: the section table.
-#[derive(Debug)]
-pub struct RmmuTranslate {
-    table: SectionTable,
-}
-
-impl RmmuTranslate {
-    /// A translate stage whose table covers the given window with
-    /// default 256 MiB sections.
-    pub fn new(window: WindowSpec) -> Self {
-        RmmuTranslate {
-            table: SectionTable::with_default_sections(window.bytes),
-        }
-    }
-
-    /// Translates one captured address.
-    ///
-    /// # Errors
-    ///
-    /// Faults on unprogrammed sections.
-    pub fn translate(&mut self, addr: DeviceAddress) -> Result<Translated, RmmuError> {
-        self.table.translate(addr)
-    }
-
-    /// Programs one section.
-    ///
-    /// # Errors
-    ///
-    /// Propagates section-table failures (occupied, aliasing…).
-    pub fn program(&mut self, index: u64, entry: SectionEntry) -> Result<(), RmmuError> {
-        self.table.program(index, entry)
-    }
-
-    /// Clears one section.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unmapped indices.
-    pub fn unprogram(&mut self, index: u64) -> Result<SectionEntry, RmmuError> {
-        self.table.unprogram(index)
-    }
-
-    /// The underlying section table (inspection).
-    pub fn table(&self) -> &SectionTable {
-        &self.table
-    }
-}
-
-/// The routing stage: one output port per attached channel.
-#[derive(Debug, Default)]
-pub struct RouterStage {
-    router: Router,
-}
-
-impl RouterStage {
-    /// An empty routing stage.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Installs a flow's route.
-    ///
-    /// # Errors
-    ///
-    /// Propagates routing-table failures.
-    pub fn add_route(
-        &mut self,
-        network: NetworkId,
-        channels: Vec<ChannelId>,
-    ) -> Result<(), RouteError> {
-        self.router.add_route(network, channels)
-    }
-
-    /// Removes a flow's route.
-    ///
-    /// # Errors
-    ///
-    /// Fails if no route exists.
-    pub fn remove_route(&mut self, network: NetworkId) -> Result<(), RouteError> {
-        self.router.remove_route(network)
-    }
-
-    /// Picks the channel for the next transaction of a flow.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unrouted networks.
-    pub fn forward(&mut self, network: NetworkId, bonded: bool) -> Result<ChannelId, RouteError> {
-        self.router.forward(network, bonded)
-    }
-
-    /// The underlying router (inspection).
-    pub fn router(&self) -> &Router {
-        &self.router
-    }
-}
-
 /// One direction's LLC Tx/Rx pair: the Tx lives at the sending endpoint,
-/// the Rx at the receiving one, and a [`WireChannel`] carries the frames
-/// in between.
+/// the Rx at the receiving one, and a [`netsim::channel::Channel`] carries
+/// the frames in between.
 #[derive(Debug)]
 pub struct LlcPair {
     pub(crate) tx: LlcTx<FabricMsg>,
@@ -211,75 +82,5 @@ impl LlcPair {
             tx: LlcTx::new(config),
             rx: LlcRx::new(config),
         }
-    }
-}
-
-/// A physical wire channel (bonded serDES lanes + cable).
-#[derive(Debug)]
-pub struct WireChannel {
-    pub(crate) chan: Channel,
-}
-
-impl WireChannel {
-    pub(crate) fn new(chan: Channel) -> Self {
-        WireChannel { chan }
-    }
-}
-
-/// The circuit-switching layer as a stage; each switched link slot
-/// records the circuit (port pair) it rides.
-#[derive(Debug)]
-pub struct SwitchStage {
-    pub(crate) switch: CircuitSwitch,
-}
-
-impl SwitchStage {
-    /// Wraps a circuit switch.
-    pub fn new(switch: CircuitSwitch) -> Self {
-        SwitchStage { switch }
-    }
-
-    /// The underlying switch (stats, circuit inspection).
-    pub fn switch(&self) -> &CircuitSwitch {
-        &self.switch
-    }
-}
-
-/// C1 master + donor DRAM: the memory-stealing endpoint of one donor.
-#[derive(Debug)]
-pub struct C1MasterDram {
-    endpoint: MemoryStealingEndpoint,
-    pasid: Pasid,
-}
-
-impl C1MasterDram {
-    /// A donor stage serving under `pasid` with the given DRAM latency.
-    pub fn new(dram_latency: SimTime, pasid: Pasid) -> Self {
-        C1MasterDram {
-            endpoint: MemoryStealingEndpoint::new(dram_latency),
-            pasid,
-        }
-    }
-
-    /// Registers the stolen region.
-    ///
-    /// # Errors
-    ///
-    /// Propagates PASID-table failures.
-    pub fn register(&mut self, region: Region) -> Result<(), EndpointError> {
-        self.endpoint.register(self.pasid, region)
-    }
-
-    /// Serves one arriving transaction; returns the completion instant.
-    ///
-    /// # Errors
-    ///
-    /// Rejects transactions outside the registered region.
-    pub fn serve(
-        &mut self,
-        now: SimTime,
-        routed: &RoutedRequest,
-    ) -> Result<SimTime, EndpointError> {
-        self.endpoint.serve(now, routed, self.pasid)
     }
 }

@@ -193,15 +193,6 @@ impl CacheHierarchy {
     pub fn l3(&self) -> &Cache {
         &self.l3
     }
-
-    /// Fraction of accesses that reached memory.
-    pub fn memory_access_ratio(&self) -> f64 {
-        let total = self.l1.hits + self.l1.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.l3.misses as f64 / total as f64
-    }
 }
 
 #[cfg(test)]

@@ -180,11 +180,6 @@ impl C1Port {
     pub fn faulted(&self) -> u64 {
         self.faulted
     }
-
-    /// Bytes moved through the engine.
-    pub fn bytes_moved(&self) -> u64 {
-        self.engine.bytes_sent()
-    }
 }
 
 #[cfg(test)]

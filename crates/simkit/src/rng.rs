@@ -199,11 +199,6 @@ impl ZipfSampler {
         ZipfSampler { n, theta }
     }
 
-    /// Number of distinct keys.
-    pub fn key_count(&self) -> u64 {
-        self.n
-    }
-
     /// The skew exponent.
     pub fn exponent(&self) -> f64 {
         self.theta

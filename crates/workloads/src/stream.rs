@@ -26,14 +26,6 @@ impl Kernel {
     /// All four kernels in STREAM's reporting order.
     pub const ALL: [Kernel; 4] = [Kernel::Copy, Kernel::Scale, Kernel::Add, Kernel::Triad];
 
-    /// Bytes moved per loop iteration.
-    pub fn bytes_per_iter(self) -> u32 {
-        match self {
-            Kernel::Copy | Kernel::Scale => 16,
-            Kernel::Add | Kernel::Triad => 24,
-        }
-    }
-
     /// Floating-point operations per iteration.
     pub fn flops_per_iter(self) -> u32 {
         match self {

@@ -92,11 +92,6 @@ impl Op {
         }
     }
 
-    /// Whether the operation mutates state.
-    pub fn is_write(self) -> bool {
-        !matches!(self, Op::Read(_) | Op::Scan(_, _))
-    }
-
     /// Records touched.
     pub fn records(self) -> u32 {
         match self {
@@ -215,16 +210,6 @@ impl YcsbGenerator {
             YcsbWorkload::E => 0.95 * (1.0 + self.max_scan_len as f64) / 2.0 + 0.05,
             YcsbWorkload::F => 0.5 + 0.5 * 2.0,
             _ => 1.0,
-        }
-    }
-
-    /// Fraction of operations that write.
-    pub fn write_fraction(&self) -> f64 {
-        match self.workload {
-            YcsbWorkload::A | YcsbWorkload::F => 0.5,
-            YcsbWorkload::B => 0.05,
-            YcsbWorkload::C => 0.0,
-            YcsbWorkload::D | YcsbWorkload::E => 0.05,
         }
     }
 }

@@ -110,7 +110,7 @@ fn two_channel_topology_has_an_llc_pair_per_direction_and_channel() {
     let links: Vec<usize> = stats.iter().map(|s| s.link).collect();
     assert_eq!(links, vec![0, 1], "two channels, one link slot each");
     assert_eq!(fabric.path_donor(path).expect("live path"), 0);
-    assert!(fabric.switch_stage().is_none(), "point-to-point has no switch");
+    assert!(fabric.switch().is_none(), "point-to-point has no switch");
     // Each link carries an up and a down LLC pair, each with its own
     // full credit pool.
     let full = stats[0].up_credits;

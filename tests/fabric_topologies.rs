@@ -92,12 +92,12 @@ fn circuit_rack_frees_ports_on_detach() {
     let (mut rack, paths) =
         FabricBuilder::circuit_rack(params(), 2, SECTION, CircuitSwitch::optical(8)).unwrap();
     {
-        let sw = rack.switch_stage().unwrap().switch();
+        let sw = rack.switch().unwrap();
         assert_eq!(sw.circuit_count(), 2);
         assert_eq!(sw.free_ports().len(), 4);
     }
     rack.detach_path(paths[0]).unwrap();
-    let sw = rack.switch_stage().unwrap().switch();
+    let sw = rack.switch().unwrap();
     assert_eq!(sw.circuit_count(), 1);
     assert_eq!(sw.free_ports().len(), 6);
     // The survivor keeps streaming at the full channel rate once its
