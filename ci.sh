@@ -80,8 +80,11 @@ cargo test -q -p workloads --test fleet_scenario
 echo "==> allocation budget (steady-state datapath: <= 0.5 allocations per event, deterministic count)"
 cargo test -q -p thymesisflow-core --test alloc_budget
 
-echo "==> attach budget (lease control path: allocations per attach and per detach, deterministic count)"
+echo "==> attach budget (lease control path: allocations per attach and per detach, bytes of a fabric-building attach, deterministic counts)"
 cargo test -q -p thymesisflow-core --test attach_budget
+
+echo "==> histogram equivalence (bucket storage grown on record answers exactly like the dense reference)"
+cargo test -q -p simkit --test prop_histogram
 
 echo "==> chaos scenario smoke (link flap + donor crash, exactly-once asserts)"
 cargo test -q -p thymesisflow-core --test chaos_sweep

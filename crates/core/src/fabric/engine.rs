@@ -771,7 +771,8 @@ impl Fabric {
     /// # Errors
     ///
     /// Fails — without touching fabric state — on malformed specs, window
-    /// exhaustion, duplicate networks, or a full switch.
+    /// exhaustion, duplicate networks (a poisoned path holds its network
+    /// until it detaches), or a full switch.
     pub fn attach_path(&mut self, spec: &PathSpec) -> Result<PathId, FabricError> {
         self.attach_inner(spec, &[], &[])
     }
@@ -851,7 +852,11 @@ impl Fabric {
         if spec.donor_ea % 128 != 0 {
             return Err(FabricError::Config("donor EA must be 128 B aligned".into()));
         }
-        if self.compute.router_mut().channels_of(spec.network).is_some() {
+        // A poisoned path has lost its route but keeps its sections
+        // until it detaches, so its network is still taken.
+        if self.compute.router_mut().channels_of(spec.network).is_some()
+            || !self.compute.rmmu().sections_of(spec.network).is_empty()
+        {
             return Err(FabricError::Config(format!(
                 "network {} already has an attached path",
                 spec.network.0
@@ -876,9 +881,11 @@ impl Fabric {
             })?;
         let now = self.queue.now();
 
-        // Donor: the memory-stealing endpoint serving under the lease's
-        // PASID.
-        let donor_idx = self.donors.len();
+        // Every step that can fail runs before the fabric changes: the
+        // donor registers its region on a local endpoint, and the route
+        // and the sections are installed (and taken back out if a
+        // section is refused) before a donor or link slot is pushed.
+        // Circuit allocation cannot fail past the free-port check above.
         let dram = SimTime::from_ns(self.params.dram_latency_ns);
         let mut donor = MemoryStealingEndpoint::new(dram);
         donor.register(
@@ -888,14 +895,39 @@ impl Fabric {
                 len: spec.bytes,
             },
         )?;
+        // Link indices stay far below u32::MAX.
+        let first_link = self.links.len();
+        let chan_ids = (first_link..first_link + spec.channels)
+            .map(|l| ChannelId(l as u32))
+            .collect();
+        self.compute
+            .router_mut()
+            .add_route(spec.network, chan_ids)?;
+        // Section-table entries, all under the one route.
+        let rmmu = self.compute.rmmu_mut();
+        for i in 0..section_count {
+            let mut entry = SectionEntry::new(spec.donor_ea + i * section, spec.network);
+            if spec.bonded {
+                entry = entry.bonded();
+            }
+            if let Err(e) = rmmu.program(first_section + i, entry) {
+                for j in 0..i {
+                    rmmu.unprogram(first_section + j)?;
+                }
+                self.compute.router_mut().remove_route(spec.network)?;
+                return Err(e.into());
+            }
+        }
+
+        // Donor: the memory-stealing endpoint serving under the lease's
+        // PASID.
+        let donor_idx = self.donors.len();
         self.donors.push(Some((donor, spec.pasid)));
 
         // Links: LLC pairs + wire channels, optionally through circuits.
         let llc_config = LlcConfig::datapath_default();
         let lane = self.params.lane();
         let cable = self.params.cable;
-        let mut chan_ids = Vec::with_capacity(spec.channels);
-        let mut link_indices = Vec::with_capacity(spec.channels);
         let mut ready_at = now;
         let path_id = self.next_path;
         for c in 0..spec.channels {
@@ -918,7 +950,6 @@ impl Fabric {
                     .seed(seed)
                     .build()
             };
-            let link = self.links.len();
             let chain = if chain_links.is_empty() {
                 None
             } else {
@@ -947,28 +978,14 @@ impl Fabric {
                 chain,
                 topo_links: topo_links.to_vec(),
             }));
-            // Link indices stay far below u32::MAX.
-            chan_ids.push(ChannelId(link as u32));
-            link_indices.push(link);
         }
-
-        // Section-table entries + route, one route for all the sections.
-        let rmmu = self.compute.rmmu_mut();
-        for i in 0..section_count {
-            let mut entry = SectionEntry::new(spec.donor_ea + i * section, spec.network);
-            if spec.bonded {
-                entry = entry.bonded();
-            }
-            rmmu.program(first_section + i, entry)?;
-        }
-        self.compute.router_mut().add_route(spec.network, chan_ids)?;
 
         self.paths.insert(
             path_id,
             PathState {
                 network: spec.network,
                 donor: donor_idx,
-                links: link_indices,
+                links: (first_link..self.links.len()).collect(),
                 window_base: self.window.base + first_section * section,
                 window_bytes: spec.bytes,
                 issue_cursor: 0,
@@ -3252,6 +3269,56 @@ mod tests {
             f.attach_path(&PathSpec::new(NetworkId(4), Pasid(4), 0x7400_0000_0000, 256 << 20).through_switch()),
             Err(FabricError::NoSwitch)
         ));
+    }
+
+    /// A rack-default fabric whose path on `NetworkId(1)` (donor EA
+    /// `0x7000_0000_0000`) has been poisoned by a hard cut of its only
+    /// link, and not yet detached.
+    fn poisoned_network_one() -> (Fabric, PathId) {
+        let mut f = fabric(WindowSpec::rack_default());
+        let p = f
+            .attach_path(&PathSpec::new(NetworkId(1), Pasid(1), 0x7000_0000_0000, 256 << 20))
+            .unwrap();
+        f.schedule_chaos(&ChaosPlan::new().at(
+            SimTime::from_ns(300),
+            ChaosEvent::LinkDown {
+                link: LinkRef::Slot(0),
+            },
+        ));
+        run_exactly_once(&mut f, p, 8);
+        assert_eq!(f.path_fault(p).unwrap(), Some(FaultKind::LinkDead { link: 0 }));
+        (f, p)
+    }
+
+    #[test]
+    fn a_poisoned_paths_network_stays_taken_until_it_detaches() {
+        let (mut f, p) = poisoned_network_one();
+        let twin = PathSpec::new(NetworkId(1), Pasid(2), 0x7100_0000_0000, 256 << 20);
+        assert!(matches!(f.attach_path(&twin), Err(FabricError::Config(_))));
+        // The poisoned path still detaches cleanly, and only then is
+        // its network free for a path that serves loads.
+        f.detach_path(p).unwrap();
+        assert!(f.path_ids().is_empty());
+        let q = f.attach_path(&twin).unwrap();
+        f.measure_load_latency(q).unwrap();
+    }
+
+    #[test]
+    fn a_refused_attach_leaves_no_donor_link_or_path_behind() {
+        let live = |f: &Fabric| {
+            (
+                f.links.iter().flatten().count(),
+                f.donors.iter().flatten().count(),
+                f.path_ids(),
+            )
+        };
+        // Same network and donor EA as the poisoned path: the section
+        // table would refuse the range as an alias.
+        let (mut f, _) = poisoned_network_one();
+        let before = live(&f);
+        let twin = PathSpec::new(NetworkId(1), Pasid(2), 0x7000_0000_0000, 256 << 20);
+        assert!(f.attach_path(&twin).is_err());
+        assert_eq!(live(&f), before);
     }
 
     #[test]

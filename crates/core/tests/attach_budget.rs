@@ -12,10 +12,16 @@
 //! Allocation counts are part of the rack's deterministic output, so
 //! the measurement also runs twice on fresh racks and must count
 //! exactly the same.
+//!
+//! A second test bounds the bytes: a histogram nobody records into
+//! allocates nothing, and the first attach on a borrower, which builds
+//! its fabric with a registry of telemetry timers that stay empty while
+//! telemetry is off, stays within a byte budget.
 
 mod counting;
 
-use counting::allocs;
+use counting::{allocs, bytes};
+use simkit::stats::Histogram;
 use simkit::units::GIB;
 use thymesisflow_core::{AttachRequest, NodeConfig, Rack, RackBuilder};
 
@@ -43,9 +49,10 @@ const CYCLES: usize = 64;
 /// before) and 13.98 per detach (16.11 before), then lowered when the
 /// route search and the control-plane graph became flat arrays and
 /// unplug stopped collecting the host's sections: 81.48 per attach and
-/// 9.86 per detach. Lower them when the path gets leaner; never raise
-/// them.
-const ATTACH_BUDGET: f64 = 81.5;
+/// 9.86 per detach, then to 79.48 per attach when a path's two
+/// histograms stopped allocating their buckets before the first
+/// record. Lower them when the path gets leaner; never raise them.
+const ATTACH_BUDGET: f64 = 79.5;
 const DETACH_BUDGET: f64 = 9.9;
 
 /// The 4×4 torus rack, cabled row- and column-wise, with the standing
@@ -121,6 +128,47 @@ fn measure() -> (u64, u64) {
         "a cycle left a lease behind"
     );
     totals
+}
+
+/// Bound on the bytes the first attach on a fresh borrower asks the
+/// allocator for, fabric build included, set at the value measured when
+/// histograms came to store only the buckets they record: 142,364 B
+/// (601,116 B before, when each of the fabric's 26 registry timers and
+/// the path's two histograms allocated 16 KiB of buckets up front).
+/// Lower it when the fabric gets leaner; never raise it.
+const FIRST_ATTACH_BYTES: u64 = 142_364;
+
+/// Bytes (and allocations) of one attach on `n01`, a borrower none of
+/// the standing leases uses, so the attach builds its fabric.
+fn first_attach() -> (u64, u64) {
+    let mut rack = torus_rack();
+    let (b0, a0) = (bytes(), allocs());
+    rack.attach(AttachRequest::new("n01", "n03", 2 * GIB))
+        .expect("first attach on n01");
+    (bytes() - b0, allocs() - a0)
+}
+
+#[test]
+fn unrecorded_histograms_and_fresh_fabrics_stay_within_the_byte_budget() {
+    let (b0, a0) = (bytes(), allocs());
+    let h = Histogram::new();
+    assert_eq!(
+        (bytes() - b0, allocs() - a0),
+        (0, 0),
+        "Histogram::new allocated"
+    );
+    assert!(h.is_empty());
+
+    let (first, n) = first_attach();
+    assert!(
+        first <= FIRST_ATTACH_BYTES,
+        "first attach on a fresh borrower asked for {first} B, budget {FIRST_ATTACH_BYTES} B"
+    );
+    assert_eq!(
+        first_attach(),
+        (first, n),
+        "byte count differs between identical runs"
+    );
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! A counting global allocator for the allocation-budget tests.
 //!
-//! [`System`] plus a per-thread count of allocations and reallocations.
-//! The counter is a const-initialised thread-local, so each test counts
+//! [`System`] plus a per-thread count of allocations and reallocations,
+//! and of the bytes they ask for (a reallocation counts its new size).
+//! The counters are const-initialised thread-locals, so each test counts
 //! only what its own thread allocates, whatever the harness runs beside
 //! it.
 
@@ -10,26 +11,28 @@ use std::cell::Cell;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
-fn count_one() {
-    // `try_with`: the slot is gone while the thread tears down.
+fn count_one(size: usize) {
+    // `try_with`: the slots are gone while the thread tears down.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + size as u64));
 }
 
 // SAFETY: every call forwards verbatim to `System`; counting touches
 // only a const-initialised thread-local, which never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: the caller upholds `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: the caller upholds `alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -40,7 +43,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         // SAFETY: the caller upholds `realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -52,4 +55,11 @@ static ALLOCATOR: Counting = Counting;
 /// Allocations and reallocations this thread has made so far.
 pub fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+/// Bytes this thread's allocations and reallocations have asked for so
+/// far.
+#[allow(dead_code)] // Read by the attach budget only.
+pub fn bytes() -> u64 {
+    BYTES.with(Cell::get)
 }

@@ -3,6 +3,20 @@
 //! The benchmark harnesses use [`Histogram`] for request latencies (paper
 //! Fig. 8 is a latency CDF) and [`Welford`] for cheap mean/variance of
 //! throughput series.
+//!
+//! # Bucket storage grows with what is recorded
+//!
+//! A [`Histogram`] stores bucket counts only up to the highest exponent
+//! bucket it has recorded. [`Histogram::new`] allocates nothing. A
+//! record past the stored range extends the counts to the end of the
+//! value's exponent bucket, so storage grows one or more 32-sub-bucket
+//! exponents at a time (60 exponents reach `u64::MAX`).
+//! [`Histogram::merge`] extends to the other side's range, and
+//! [`Histogram::subtract`] keeps only the buckets the interval
+//! recorded. Every query reads a bucket past the stored range as zero,
+//! so each answer equals that of a histogram holding all 64 exponents
+//! up front. A registered timer that never records, such as a disabled
+//! fabric's per-hop timers, costs no bucket storage.
 
 use std::fmt;
 
@@ -17,6 +31,14 @@ const SUB_BITS: u32 = 5; // log2(SUB_BUCKETS)
 ///
 /// Records values with bounded relative error and answers quantile and
 /// CDF queries. Suited to latencies spanning nanoseconds to seconds.
+/// Bucket storage covers only the exponents recorded so far (see the
+/// [module docs](self)).
+///
+/// The derived `Serialize` writes the stored counts, so its `counts`
+/// array is as long as the recorded range, not a fixed 2,048 entries.
+/// Nothing in the workspace serialises a `Histogram` directly:
+/// telemetry JSON emits timer summaries through
+/// [`Metric`](crate::telemetry::Metric)'s `Serialize`.
 ///
 /// # Example
 ///
@@ -47,11 +69,11 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// Creates an empty histogram.
+    /// Creates an empty histogram. Allocates nothing until the first
+    /// record.
     pub fn new() -> Self {
-        // 64 exponent buckets x SUB_BUCKETS linear sub-buckets.
         Histogram {
-            counts: vec![0; 64 * SUB_BUCKETS],
+            counts: Vec::new(),
             total: 0,
             sum: 0,
             min: u64::MAX,
@@ -69,6 +91,12 @@ impl Histogram {
         ((exp - SUB_BITS + 1) as usize) * SUB_BUCKETS + sub
     }
 
+    /// Stored length that covers `index`: the end of its exponent
+    /// bucket.
+    fn stored_len(index: usize) -> usize {
+        (index / SUB_BUCKETS + 1) * SUB_BUCKETS
+    }
+
     fn value_of(index: usize) -> u64 {
         let bucket = index / SUB_BUCKETS;
         let sub = (index % SUB_BUCKETS) as u64;
@@ -77,8 +105,10 @@ impl Histogram {
         }
         // `bucket` ≤ 63 (64 exponent buckets), so the conversion holds.
         let shift = u32::try_from(bucket - 1).unwrap_or(u32::MAX);
-        // Upper edge of the sub-bucket (conservative for quantiles).
-        ((SUB_BUCKETS as u64 + sub + 1) << shift) - 1
+        // Upper edge of the sub-bucket (conservative for quantiles):
+        // lower edge plus width minus one, written so that the top
+        // sub-bucket's edge, u64::MAX, does not overflow.
+        ((SUB_BUCKETS as u64 + sub) << shift) | ((1 << shift) - 1)
     }
 
     /// Records one observation.
@@ -92,6 +122,9 @@ impl Histogram {
             return;
         }
         let idx = Self::index_of(value);
+        if idx >= self.counts.len() {
+            self.counts.resize(Self::stored_len(idx), 0);
+        }
         self.counts[idx] += n;
         self.total += n;
         self.sum += value as u128 * n as u128;
@@ -178,6 +211,9 @@ impl Histogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
         for (i, c) in other.counts.iter().enumerate() {
             self.counts[i] += c;
         }
@@ -197,13 +233,18 @@ impl Histogram {
     /// bucket edges, so they carry the same ~3% relative error as
     /// quantiles rather than being exact.
     pub fn subtract(&self, earlier: &Histogram) -> Histogram {
+        let diff =
+            |i: usize| self.counts[i].saturating_sub(earlier.counts.get(i).copied().unwrap_or(0));
+        let len = (0..self.counts.len())
+            .rev()
+            .find(|&i| diff(i) != 0)
+            .map_or(0, |i| i + 1);
         let mut out = Histogram::new();
-        for (i, (a, b)) in self.counts.iter().zip(&earlier.counts).enumerate() {
-            let c = a.saturating_sub(*b);
+        out.counts = (0..len).map(diff).collect();
+        for (i, &c) in out.counts.iter().enumerate() {
             if c == 0 {
                 continue;
             }
-            out.counts[i] = c;
             out.total += c;
             let edge = Self::value_of(i).min(self.max);
             out.min = out.min.min(edge);
@@ -447,6 +488,40 @@ mod tests {
     #[should_panic(expected = "quantile out of range")]
     fn bad_quantile_panics() {
         Histogram::new().quantile(1.5);
+    }
+
+    #[test]
+    fn top_bucket_edge_is_u64_max() {
+        let mut h = Histogram::new();
+        h.record(u64::MAX);
+        h.record(1 << 63);
+        assert_eq!(h.quantile(1.0), u64::MAX);
+        assert_eq!(h.cdf().last(), Some(&(u64::MAX, 1.0)));
+        assert_eq!(h.subtract(&Histogram::new()).max(), u64::MAX);
+    }
+
+    #[test]
+    fn storage_covers_only_recorded_exponents() {
+        let mut h = Histogram::new();
+        assert_eq!(
+            h.counts.capacity(),
+            0,
+            "an empty histogram allocates nothing"
+        );
+        h.record(SUB_BUCKETS as u64 - 1);
+        assert_eq!(h.counts.len(), SUB_BUCKETS);
+        h.record(1_000);
+        assert_eq!(
+            h.counts.len(),
+            Histogram::stored_len(Histogram::index_of(1_000))
+        );
+        h.record(u64::MAX);
+        assert_eq!(h.counts.len(), 60 * SUB_BUCKETS);
+        // A diff keeps only what the interval recorded.
+        let mut later = h.clone();
+        assert!(later.subtract(&h).counts.is_empty());
+        later.record(5);
+        assert_eq!(later.subtract(&h).counts.len(), 6);
     }
 
     #[test]
